@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, TextIO
 
 from . import entropy, inequalities, lyapunov, majorization, matching
-from .errors import LatticeError
+from .errors import DomainError, LatticeError, MissingParameterError
 from .lattice import (
     DEFAULT_TAIL_TOL,
     Direction,
@@ -82,9 +82,11 @@ def _load_pmf(config: RunConfig) -> LatticePMF:
             doc = json.load(fh)
         return pmf_from_json(doc, tail_tol)
     if params.get("law"):
+        if params.get("lam") is None:
+            raise MissingParameterError("--law needs --lambda")
         return pmf_from_json({"law": params["law"], "lambda": params["lam"]},
                              tail_tol)
-    raise LatticeError("no distribution given: use --input or --law/--lambda")
+    raise MissingParameterError("no distribution given: use --input or --law/--lambda")
 
 
 def _classification_row(c: Classification) -> CheckReport:
@@ -131,7 +133,7 @@ def _matching_rows(x: LatticePMF, c: Classification, p: float) -> list[CheckRepo
 
 def _verify_rows(x: LatticePMF, params: dict[str, Any]) -> list[CheckReport]:
     c = classify(x)
-    t_grid = params.get("t_grid") or DEFAULT_T_GRID
+    t_grid = _t_grid_param(params)
     p = params.get("p") or 2.0
     q = params.get("q") or 1.0
     alpha = params.get("alpha") or 2.0
@@ -242,7 +244,7 @@ def _dispatch(config: RunConfig) -> list[CheckReport]:
             rows.append(_skip("varentropy_bound", str(exc)))
         return rows
     if cmd == "phi":
-        t_grid = params.get("t_grid") or DEFAULT_T_GRID
+        t_grid = _t_grid_param(params)
         rows = [info("phi", lyapunov.phi(x, float(t)),
                      {"t": float(t),
                       "phi2": lyapunov.phi_second_derivative(x, float(t))})
@@ -280,7 +282,7 @@ def _dispatch(config: RunConfig) -> list[CheckReport]:
                      {"p": p, "residual": result.residual,
                       "iterations": result.iterations, "family": family})]
     if cmd == "concentration":
-        t_grid = params.get("t_grid") or DEFAULT_T_GRID
+        t_grid = _t_grid_param(params)
         c = classify(x)
         if not c.log_concave or (not c.monotone and c.symmetry is None):
             raise LatticeError("concentration needs a monotone or symmetric "
@@ -299,8 +301,20 @@ def _dispatch(config: RunConfig) -> list[CheckReport]:
 def _require(params: dict[str, Any], key: str) -> float:
     value = params.get(key)
     if value is None:
-        raise LatticeError(f"missing required parameter --{key}")
+        raise MissingParameterError(f"missing required parameter --{key}")
     return value
+
+
+def _t_grid_param(params: dict[str, Any]) -> tuple[float, ...]:
+    """--t-grid, or the default grid when none is given; a given grid must
+    be non-empty with every point finite and positive."""
+    t_grid = params.get("t_grid")
+    if t_grid is None:
+        return DEFAULT_T_GRID
+    if not t_grid or not all(0.0 < float(t) < math.inf for t in t_grid):
+        raise DomainError("--t-grid needs one or more finite positive points,"
+                          f" got {tuple(t_grid)!r}")
+    return t_grid
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,18 @@ class LatticeError(ValueError):
     """Base class for domain errors raised by this package."""
 
 
+class BadWeightsError(LatticeError):
+    """Weights are empty, non-numeric, not one-dimensional or not finite."""
+
+
+class BadDocumentError(LatticeError):
+    """The JSON distribution document does not have an accepted form."""
+
+
+class MissingParameterError(LatticeError):
+    """A parameter the command needs was not given."""
+
+
 class AllZeroError(LatticeError):
     """Every weight in the input sequence is zero."""
 

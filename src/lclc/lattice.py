@@ -20,8 +20,10 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
+    BadDocumentError,
     BadLambdaError,
     BadToleranceError,
+    BadWeightsError,
     NegativeWeightError,
 )
 
@@ -86,9 +88,9 @@ class LatticePMF:
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)
         if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-D sequence")
+            raise BadWeightsError("weights must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+            raise BadWeightsError("weights must be finite")
         if np.any(w < 0.0):
             raise NegativeWeightError("weights must be non-negative")
         if w[0] == 0.0 or w[-1] == 0.0:
@@ -142,11 +144,14 @@ def normalize(weights, offset: int = 0) -> LatticePMF:
     Weights already summing to one within 1e-12 are kept as-is, which makes
     normalize exactly idempotent.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise BadWeightsError("weights must be numbers") from None
     if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-D sequence")
+        raise BadWeightsError("weights must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+        raise BadWeightsError("weights must be finite")
     if np.any(w < 0.0):
         raise NegativeWeightError("weights must be non-negative")
     if not np.any(w > 0.0):
@@ -285,17 +290,32 @@ def pmf_from_json(doc: dict, tail_tol: float = DEFAULT_TAIL_TOL) -> LatticePMF:
       {"law": "geometric" | "symmetric_geometric", "lambda": x}
     """
     if not isinstance(doc, dict):
-        raise ValueError("distribution document must be a JSON object")
+        raise BadDocumentError("distribution document must be a JSON object")
     if "weights" in doc:
-        return normalize(doc["weights"], int(doc.get("offset", 0)))
+        return normalize(doc["weights"], _integer_offset(doc.get("offset", 0)))
     if "law" in doc:
         try:
             kind = LawKind(doc["law"])
         except ValueError:
-            raise ValueError(
+            raise BadDocumentError(
                 f"unknown law {doc['law']!r}; expected 'geometric' or"
                 " 'symmetric_geometric'") from None
         if "lambda" not in doc:
-            raise ValueError("parametric law document requires a 'lambda' field")
-        return materialize(ParametricLaw(kind, float(doc["lambda"])), tail_tol)
-    raise ValueError("document must contain either 'weights' or 'law'")
+            raise BadDocumentError("parametric law document requires a 'lambda' field")
+        try:
+            lam = float(doc["lambda"])
+        except (TypeError, ValueError):
+            raise BadDocumentError(
+                f"'lambda' must be a number, got {doc['lambda']!r}") from None
+        return materialize(ParametricLaw(kind, lam), tail_tol)
+    raise BadDocumentError("document must contain either 'weights' or 'law'")
+
+
+def _integer_offset(value) -> int:
+    """The document's offset; integral numbers only, never rounded."""
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BadDocumentError(f"offset must be an integer, got {value!r}")

@@ -183,9 +183,9 @@ def counterexample_check(lam: float, gamma: float) -> CheckReport:
     the three-point concavity inequality fails.
     """
     if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+        raise DomainError(f"lam must be positive, got {lam}")
     if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+        raise DomainError(f"gamma must be positive, got {gamma}")
     lhs = 4.0 * gamma**2 * (2.0 * lam + 1.0)
     rhs = 6.0 * gamma**2 * (lam**2 + (1.0 + lam) ** 2)
     y = (lam, 1.0 + lam)

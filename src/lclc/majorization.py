@@ -65,7 +65,8 @@ class LevelCount:
     breakpoints: np.ndarray
     counts: np.ndarray
 
-    def __call__(self, t: float):
+    def __call__(self, t):
+        """F at a scalar threshold or elementwise over an array of them."""
         idx = np.searchsorted(self.breakpoints, t, side="right")
         return self.counts[idx]
 
@@ -180,22 +181,43 @@ class GeometricSequence:
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
 
     def value(self, k):
-        return self.coeff * self.ratio ** np.asarray(k, dtype=np.float64)
+        """z_k for a scalar or an array k.
 
-    def level_count(self, t: float) -> int:
-        """#{k >= 0 : z_k > t}, exact with respect to the float values z_k."""
-        if t >= self.coeff:
-            return 0
-        if t <= 0.0:
+        Both go through one elementwise power over a 1-D array, so value(k)
+        equals value(ks)[i] bitwise wherever ks[i] == k; a 0-d power would
+        take numpy's squaring shortcut at k = 2 and differ by an ulp.
+        """
+        k = np.asarray(k, dtype=np.float64)
+        z = self.coeff * np.power(self.ratio, k.reshape(-1))
+        return z.reshape(k.shape)[()]
+
+    def level_count(self, t):
+        """#{k >= 0 : z_k > t} for a scalar or an array of thresholds t,
+        exact with respect to the float values z_k.
+
+        A log estimate is settled by stepping each threshold's count until
+        z_m <= t < z_{m-1}, so memory stays proportional to the number of
+        thresholds however large the counts are.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        if not np.all(t > 0.0):
             raise ValueError("level counts of a geometric sequence are "
                              "infinite at non-positive thresholds")
-        # candidate from logs, then settle boundary rounding by direct scan
-        m = max(0, int(math.floor(math.log(t / self.coeff) / math.log(self.ratio))) - 2)
-        while self.value(m) > t:
-            m += 1
-        while m > 0 and self.value(m - 1) <= t:
-            m -= 1
-        return m
+        flat = t.reshape(-1)
+        # candidate from logs (clamped to 0 for t >= coeff), then settle
+        # boundary rounding; each pass only revisits the unsettled entries
+        est = np.floor((np.log(flat) - math.log(self.coeff)) / math.log(self.ratio)) - 2.0
+        m = np.maximum(est, 0.0).astype(np.int64)
+        todo = np.arange(flat.size)
+        while todo.size:  # step up while z_m > t
+            todo = todo[self.value(m[todo]) > flat[todo]]
+            m[todo] += 1
+        todo = np.flatnonzero(m > 0)
+        while todo.size:  # step down while z_{m-1} <= t
+            todo = todo[self.value(m[todo] - 1) <= flat[todo]]
+            m[todo] -= 1
+            todo = todo[m[todo] > 0]
+        return int(m[0]) if t.ndim == 0 else m.reshape(t.shape)
 
     @classmethod
     def from_law(cls, law: ParametricLaw) -> "GeometricSequence":
@@ -272,24 +294,17 @@ def crossing_verify(x: LatticePMF, z: GeometricSequence,
         extra = np.geomspace(ts[0], ts[-1], n_samples)
         ts = np.unique(np.concatenate((ts, extra)))
 
-    worst = math.inf
-    worst_t = math.nan
-    worst_counts = (0, 0)
-    ok = True
-    for t in ts:
-        fz = z.level_count(float(t))
-        fx = int(f_x(float(t)))
-        slack = (fx - fz) if t in interval else (fz - fx)
-        if slack < worst:
-            worst, worst_t, worst_counts = slack, float(t), (fz, fx)
-        if slack < 0:
-            ok = False
+    fz = z.level_count(ts)
+    fx = f_x(ts)
+    inside = (interval.lo <= ts) & (ts < interval.hi)
+    slack = np.where(inside, fx - fz, fz - fx)
+    j = int(np.argmin(slack))  # first occurrence of the worst slack
     params = {"a": result.first_index, "b": result.last_index,
               "interval_lo": interval.lo, "interval_hi": interval.hi,
-              "thresholds": int(ts.size), "worst_t": worst_t}
-    return CheckReport("crossing_pattern", float(worst_counts[0]),
-                       float(worst_counts[1]), float(worst),
-                       "pass" if ok else "fail", params)
+              "thresholds": int(ts.size), "worst_t": float(ts[j])}
+    return CheckReport("crossing_pattern", float(fz[j]), float(fx[j]),
+                       float(slack[j]), "pass" if slack[j] >= 0 else "fail",
+                       params)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +357,9 @@ def fold_symmetric(x: LatticePMF) -> SymmetricFold:
     points = np.unique(points[points > 0.0])
     mids = (points[:-1] + points[1:]) / 2.0
     ts = np.concatenate((points, mids, [min(center_mass, points[0]) / 2.0]))
-    worst = 0
-    for t in ts:
-        if t >= center_mass:
-            continue
-        gap = abs(int(full(float(t))) - (2 * int(half(float(t))) - 1))
-        worst = max(worst, gap)
-    return SymmetricFold(full, half, center_mass, worst)
+    ts = ts[ts < center_mass]
+    gaps = np.abs(full(ts) - (2 * half(ts) - 1))
+    return SymmetricFold(full, half, center_mass, int(np.max(gaps, initial=0)))
 
 
 def _default_hinge_grid(u, v) -> np.ndarray:

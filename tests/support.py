@@ -1,14 +1,23 @@
-"""Randomized instance generators shared across the test modules.
+"""Randomized instance generators and reference loops shared across the
+test modules.
 
 Log-concave pmfs are produced by exponentiating concave log-weight
 sequences (increments sorted to be non-increasing); forcing every
 increment non-positive makes the pmf monotone decreasing, and mirroring a
 monotone half builds the symmetric families.
+
+The scalar_* functions evaluate the crossing and folding checks one
+threshold at a time; the library's array evaluation must reproduce them
+exactly.
 """
+
+import math
 
 import numpy as np
 
-from lclc.lattice import LatticePMF, normalize
+from lclc.lattice import LatticePMF, normalize, symmetry_center
+from lclc.majorization import _level_count_of, crossing_interval, level_count
+from lclc.report import CheckReport
 
 
 def random_monotone_log_concave(rng, max_support=60, min_support=2,
@@ -61,3 +70,73 @@ def random_pmf(rng, max_support=60, min_support=1) -> LatticePMF:
     n = int(rng.integers(min_support, max_support + 1))
     log_w = rng.uniform(-8.0, 0.0, n)
     return normalize(np.exp(log_w), int(rng.integers(-5, 6)))
+
+
+def scalar_geometric_level_count(z, t: float) -> int:
+    """#{k >= 0 : z_k > t}: log estimate, then settle rounding one step at a time."""
+    if t >= z.coeff:
+        return 0
+    m = max(0, int(math.floor(math.log(t / z.coeff) / math.log(z.ratio))) - 2)
+    while z.value(m) > t:
+        m += 1
+    while m > 0 and z.value(m - 1) <= t:
+        m -= 1
+    return m
+
+
+def scalar_crossing_verify(x: LatticePMF, z, n_samples: int = 0) -> CheckReport:
+    """crossing_verify's report, built by a per-threshold loop."""
+    result = crossing_interval(x, z)
+    interval = result.interval
+    w = x.weights
+    f_x = level_count(x)
+
+    lowest = max(min(float(w[w > 0].min()), interval.lo) / 4.0, 1e-300)
+    ks = np.arange(0, max(len(w) + 8, result.last_index + 8))
+    zv = z.value(ks)
+    points = np.concatenate((f_x.breakpoints, zv[zv >= lowest],
+                             [interval.lo, interval.hi]))
+    points = np.unique(points[points > 0.0])
+    mids = (points[:-1] + points[1:]) / 2.0
+    ts = np.unique(np.concatenate((points, mids)))
+    if n_samples > 0:
+        extra = np.geomspace(ts[0], ts[-1], n_samples)
+        ts = np.unique(np.concatenate((ts, extra)))
+
+    worst = math.inf
+    worst_t = math.nan
+    worst_counts = (0, 0)
+    ok = True
+    for t in ts:
+        fz = scalar_geometric_level_count(z, float(t))
+        fx = int(f_x(float(t)))
+        slack = (fx - fz) if t in interval else (fz - fx)
+        if slack < worst:
+            worst, worst_t, worst_counts = slack, float(t), (fz, fx)
+        if slack < 0:
+            ok = False
+    params = {"a": result.first_index, "b": result.last_index,
+              "interval_lo": interval.lo, "interval_hi": interval.hi,
+              "thresholds": int(ts.size), "worst_t": worst_t}
+    return CheckReport("crossing_pattern", float(worst_counts[0]),
+                       float(worst_counts[1]), float(worst),
+                       "pass" if ok else "fail", params)
+
+
+def scalar_fold_violation(x: LatticePMF) -> int:
+    """fold_symmetric's max_violation, built by a per-threshold loop."""
+    center_idx = int(symmetry_center(x)) - x.offset
+    center_mass = float(x.weights[center_idx])
+    full = level_count(x)
+    half = _level_count_of(x.weights[center_idx:])
+    points = np.concatenate((full.breakpoints, half.breakpoints))
+    points = np.unique(points[points > 0.0])
+    mids = (points[:-1] + points[1:]) / 2.0
+    ts = np.concatenate((points, mids, [min(center_mass, points[0]) / 2.0]))
+    worst = 0
+    for t in ts:
+        if t >= center_mass:
+            continue
+        gap = abs(int(full(float(t))) - (2 * int(half(float(t))) - 1))
+        worst = max(worst, gap)
+    return worst

@@ -148,7 +148,58 @@ class TestOtherCommands:
             "shannon_entropy", "min_entropy", "varentropy"}
 
 
+_GOOD = {"offset": 0, "weights": [0.6, 0.3, 0.1]}  # monotone log-concave
+
+# (id, command, JSON document or None, extra argv, RunConfig parameters):
+# inputs outside the accepted formats, each of which must exit 2
+MALFORMED = [
+    ("empty_weights", "verify", {"offset": 0, "weights": []}, [], {}),
+    ("non_numeric_weights", "verify", {"offset": 0, "weights": ["a", 0.5]}, [], {}),
+    ("nan_weights", "verify", {"offset": 0, "weights": [0.5, math.nan]}, [], {}),
+    ("top_level_array", "verify", [0.5, 0.5], [], {}),
+    ("law_without_lambda", "verify", {"law": "geometric"}, [], {}),
+    ("fractional_offset", "verify", {"offset": 1.5, "weights": [0.5, 0.3, 0.2]}, [], {}),
+    ("negative_t_grid", "phi", _GOOD, ["--t-grid", "-1"], {"t_grid": (-1.0,)}),
+    ("negative_t_grid_concentration", "concentration", _GOOD, ["--t-grid", "-1"],
+     {"t_grid": (-1.0,)}),
+    ("empty_t_grid", "phi", _GOOD, ["--t-grid", ","], {"t_grid": ()}),
+    ("negative_counterexample_lambda", "counterexample", None, ["--lambda", "-1"],
+     {"lam": -1.0}),
+    ("varentropy_law_without_lambda", "varentropy", None, ["--law", "geometric"],
+     {"law": "geometric"}),
+]
+
+
+def _assert_usage_error(code, capsys):
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.endswith("\n") and err.count("\n") == 1, err
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("name, command, doc, argv, params", MALFORMED,
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_input_via_main(self, tmp_path, capsys, name, command,
+                                      doc, argv, params):
+        if doc is not None:
+            argv = ["--input", _write_dist(tmp_path, doc)] + argv
+        _assert_usage_error(main([command] + argv), capsys)
+
+    @pytest.mark.parametrize("name, command, doc, argv, params", MALFORMED,
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_input_via_run(self, tmp_path, capsys, name, command,
+                                     doc, argv, params):
+        path = _write_dist(tmp_path, doc) if doc is not None else None
+        config = RunConfig(command, input_path=path, parameters=params)
+        _assert_usage_error(run(config, io.StringIO()), capsys)
+
+    def test_integral_offset_accepted(self, tmp_path):
+        path = _write_dist(tmp_path, {"offset": 2.0, "weights": [0.5, 0.3, 0.2]})
+        code, text = _run(["entropy", "--input", path], tmp_path)
+        assert code == 0 and "shannon_entropy" in text
+
     def test_missing_distribution(self, capsys):
         assert main(["verify"]) == 2
         assert "no distribution" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,14 @@ from lclc.majorization import (
     power_transform_density,
 )
 from lclc.matching import match_geometric
-from support import random_monotone_log_concave, random_pmf, random_symmetric_log_concave
+from support import (
+    random_monotone_log_concave,
+    random_pmf,
+    random_symmetric_log_concave,
+    scalar_crossing_verify,
+    scalar_fold_violation,
+    scalar_geometric_level_count,
+)
 
 
 class TestLevelCount:
@@ -159,6 +168,100 @@ class TestFoldSymmetric:
     def test_rejects_half_integer_center(self):
         with pytest.raises(NotSymmetricError):
             fold_symmetric(normalize([1, 1]))
+
+
+def _matched_decreasing(x, p):
+    """x oriented non-increasing and its matched geometric comparator."""
+    lam = match_geometric(x, p).lam
+    decreasing = x if x.weights[0] >= x.weights[-1] else x.reversed()
+    return decreasing, GeometricSequence(1 - lam, lam)
+
+
+class TestArrayEvaluation:
+    """The array evaluation of the crossing and folding checks against the
+    per-threshold reference loops in support.py."""
+
+    def test_crossing_matches_scalar_loop_on_random_pmfs(self):
+        rng = np.random.default_rng(41)
+        for direction in ("decreasing", "increasing"):
+            for _ in range(40):
+                x = random_monotone_log_concave(rng, max_support=80,
+                                                direction=direction)
+                p = float(rng.choice([1.5, 2.0, 3.0]))
+                n_samples = int(rng.choice([0, 0, 33]))
+                x, z = _matched_decreasing(x, p)
+                assert (crossing_verify(x, z, n_samples)
+                        == scalar_crossing_verify(x, z, n_samples))
+
+    @pytest.mark.parametrize("lam", [0.99, 0.999])
+    def test_crossing_matches_scalar_loop_on_geometric(self, lam):
+        x, z = _matched_decreasing(materialize(ParametricLaw.geometric(lam)), 2.0)
+        report = crossing_verify(x, z)
+        assert report == scalar_crossing_verify(x, z)
+        assert report.passed
+
+    def test_array_level_counts_match_scalar_counts(self):
+        rng = np.random.default_rng(42)
+        for coeff, ratio in ((0.5, 0.7), (0.01, 0.99), (2.0, 0.999)):
+            z = GeometricSequence(coeff, ratio)
+            zs = z.value(np.arange(3000))
+            ts = np.concatenate((zs, zs * (1 - 1e-15), zs * (1 + 1e-15),
+                                 rng.uniform(0.0, 1.5 * coeff, 500) + 1e-300))
+            ts = ts[ts > 0.0]  # z_k underflows to zero far out
+            counts = z.level_count(ts)
+            assert counts.shape == ts.shape
+            assert counts.tolist() == [scalar_geometric_level_count(z, float(t))
+                                       for t in ts]
+            assert counts.tolist() == [z.level_count(float(t)) for t in ts]
+
+    def test_level_count_rejects_non_positive_thresholds(self):
+        z = GeometricSequence(0.5, 0.7)
+        for bad in (0.0, -1.0, np.array([0.1, 0.0]), np.array([np.nan])):
+            with pytest.raises(ValueError):
+                z.level_count(bad)
+
+    def test_fold_matches_scalar_loop(self):
+        rng = np.random.default_rng(43)
+        pmfs = [random_symmetric_log_concave(rng) for _ in range(40)]
+        pmfs.append(materialize(ParametricLaw.symmetric_geometric(0.9)))
+        # symmetric within symmetry_center's tolerance but not exactly: a
+        # threshold between the two outer masses breaks the fold identity
+        pmfs.append(normalize([0.2, 0.6, 0.2 + 1e-13], -1))
+        violations = [fold_symmetric(x).max_violation for x in pmfs]
+        assert violations == [scalar_fold_violation(x) for x in pmfs]
+        assert violations[-1] == 1
+
+    @pytest.mark.parametrize("coeff, ratio", [
+        (0.04600809875831913, 0.9539919012416809),
+        (0.5, 0.7), (0.01, 0.99), (1e-3, 0.999)])
+    def test_scalar_and_array_values_agree_bitwise(self, coeff, ratio):
+        z = GeometricSequence(coeff, ratio)
+        array = z.value(np.arange(400))
+        scalar = np.array([z.value(k) for k in range(400)])
+        assert np.array_equal(array.view(np.int64), scalar.view(np.int64))
+        assert z.value(2) == array[2]  # where numpy's 0-d power squares
+
+    def test_memory_bounded_by_thresholds_not_counts(self):
+        # a flat log-concave body with a steep last step: the comparator
+        # has over a million values above the lowest threshold, while the
+        # thresholds number only a few per atom
+        n = 5000
+        log_w = -5e-4 * np.arange(n)
+        log_w[-1] = log_w[-2] - 690.0
+        x, z = _matched_decreasing(normalize(np.exp(log_w)), 2.0)
+        interval = crossing_interval(x, z).interval
+        lowest = max(min(float(x.weights.min()), interval.lo) / 4.0, 1e-300)
+        count = z.level_count(lowest)
+        assert count > 1_000_000
+        crossing_verify(x, z)  # warm up lazy imports outside the measurement
+        tracemalloc.start()
+        try:
+            report = crossing_verify(x, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 8 * count / 4
 
 
 def _uniform_density(hi: float) -> LevelCount:
