@@ -76,7 +76,7 @@ def _skip(name: str, reason: str) -> CheckReport:
 
 def _load_pmf(config: RunConfig) -> LatticePMF:
     params = config.parameters
-    tail_tol = params.get("tail_tol") or DEFAULT_TAIL_TOL
+    tail_tol = _param(params, "tail_tol", DEFAULT_TAIL_TOL)
     if config.input_path:
         with open(config.input_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -134,9 +134,9 @@ def _matching_rows(x: LatticePMF, c: Classification, p: float) -> list[CheckRepo
 def _verify_rows(x: LatticePMF, params: dict[str, Any]) -> list[CheckReport]:
     c = classify(x)
     t_grid = _t_grid_param(params)
-    p = params.get("p") or 2.0
-    q = params.get("q") or 1.0
-    alpha = params.get("alpha") or 2.0
+    p = _param(params, "p", 2.0)
+    q = _param(params, "q", 1.0)
+    alpha = _param(params, "alpha", 2.0)
     rows = [_classification_row(c),
             inequalities.h2_hinf_identity_check(x),
             majorization.cake_layer_check(x, 2.0)]
@@ -206,7 +206,7 @@ def _dispatch(config: RunConfig) -> list[CheckReport]:
     cmd = config.command
 
     if cmd == "constants":
-        which = params.get("which") or "vs"
+        which = _param(params, "which", "vs")
         if which == "vs":
             lam_star, v_s = inequalities.sup_varentropy_symmetric()
             return [info("lambda_star", lam_star), info("V_S", v_s)]
@@ -221,8 +221,8 @@ def _dispatch(config: RunConfig) -> list[CheckReport]:
         raise LatticeError(f"unknown constant {which!r}: expected vs, gap, or c")
 
     if cmd == "counterexample":
-        lam = params.get("lam") if params.get("lam") is not None else 0.1
-        gamma = params.get("gamma") if params.get("gamma") is not None else 1.0
+        lam = _param(params, "lam", 0.1)
+        gamma = _param(params, "gamma", 1.0)
         return [lyapunov.counterexample_check(lam, gamma)]
 
     x = _load_pmf(config)
@@ -254,7 +254,7 @@ def _dispatch(config: RunConfig) -> list[CheckReport]:
             rows.append(_concavity_row(x))
         return rows
     if cmd == "crossing":
-        p = params.get("p") or 2.0
+        p = _param(params, "p", 2.0)
         c = classify(x)
         if not (c.log_concave and c.monotone):
             raise LatticeError("crossing needs a monotone log-concave pmf")
@@ -268,7 +268,7 @@ def _dispatch(config: RunConfig) -> list[CheckReport]:
                       "hi": cross.interval.hi}),
                 majorization.crossing_verify(decreasing, comparator)]
     if cmd == "match":
-        p = params.get("p") or 2.0
+        p = _param(params, "p", 2.0)
         c = classify(x)
         if c.monotone:
             result = matching.match_geometric(x, p)
@@ -293,9 +293,16 @@ def _dispatch(config: RunConfig) -> list[CheckReport]:
                 for t in t_grid
                 for side in (inequalities.Side.UPPER, inequalities.Side.LOWER)]
     if cmd == "epi":
-        alpha = params.get("alpha") or 2.0
+        alpha = _param(params, "alpha", 2.0)
         return [inequalities.epi_reversal_check(x, alpha)]
     raise LatticeError(f"unknown command {cmd!r}")
+
+
+def _param(params: dict[str, Any], key: str, default: Any) -> Any:
+    """The given value of a parameter, or its default when none was given;
+    a given value is never replaced, so a bad one is refused downstream."""
+    value = params.get(key)
+    return default if value is None else value
 
 
 def _require(params: dict[str, Any], key: str) -> float:

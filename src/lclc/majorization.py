@@ -18,6 +18,7 @@ import numpy as np
 
 from .entropy import power_sum
 from .errors import (
+    DomainError,
     MeanMismatchError,
     NoCrossingError,
     NotMonotoneLogConcaveError,
@@ -76,22 +77,42 @@ class LevelCount:
         return [(float(edges[j]), float(edges[j + 1]), int(self.counts[j]))
                 for j in range(len(self.breakpoints)) if self.counts[j] > 0]
 
+    def _pieces(self):
+        """Edges e_0 = 0 < ... < e_K of segments(), the count c_k on
+        [e_k, e_{k+1}), and the tail masses G_k = int_{e_k}^inf F with
+        G_K = 0."""
+        lo, hi, c = np.array(self.segments(), dtype=np.float64).T
+        return np.append(lo, hi[-1]), c, _suffix_sum(c * (hi - lo))
+
+    def _hinge_table(self):
+        """_pieces() plus H_k = E[(U - e_k)+], with H_K = 0.
+
+        H is a suffix sum of the non-negative piece terms
+        c_k w_k**2 / 2 + w_k G_{k+1}; the form sum c (hi**2 - lo**2) / 2
+        - t sum c (hi - lo) would cancel catastrophically near the top.
+        """
+        edges, c, tail = self._pieces()
+        w = np.diff(edges)
+        return edges, c, tail, _suffix_sum(c * w * w / 2.0 + w * tail[1:])
+
     def mass(self) -> float:
         """Total integral of F; equals 1 when built from a probability pmf."""
-        return sum(c * (hi - lo) for lo, hi, c in self.segments())
+        return float(self._pieces()[2][0])
 
     def mean(self) -> float:
         """Mean of the density F: integral of t F(t) dt."""
-        return sum(c * (hi * hi - lo * lo) / 2.0 for lo, hi, c in self.segments())
+        return float(self._hinge_table()[3][0])
 
-    def hinge_expectation(self, t: float) -> float:
-        """E[(U - t)+] for U distributed with density F."""
-        total = 0.0
-        for lo, hi, c in self.segments():
-            a = max(lo - t, 0.0)
-            b = max(hi - t, 0.0)
-            total += c * (b * b - a * a) / 2.0
-        return total
+    def hinge_expectation(self, t):
+        """E[(U - t)+] for U distributed with density F, at a scalar t or
+        elementwise over an array of them."""
+        edges, c, tail, hinge = self._hinge_table()
+
+        def partial(k, t):
+            r = edges[k + 1] - t
+            return c[k] * r * r / 2.0
+
+        return _hinge_lookup(t, edges, tail, hinge, partial)
 
     def power(self, p: float) -> "PowerDensity":
         return PowerDensity(self, p)
@@ -102,8 +123,9 @@ class PowerDensity:
     """Density of U**p where U is drawn from a step density.
 
     Represented as the base step density plus the exponent; hinge
-    expectations are integrated exactly in the base variable, each segment
-    contributing a closed-form power integral.
+    expectations are integrated exactly in the base variable, from suffix
+    sums over the pieces of the base and a closed-form power integral for
+    the piece a hinge falls in.
     """
 
     base: LevelCount
@@ -120,27 +142,64 @@ class PowerDensity:
     def mass(self) -> float:
         return self.base.mass()
 
-    def mean(self) -> float:
-        """E[U**p] = sum over segments of c (hi**(p+1) - lo**(p+1)) / (p+1)."""
+    def _hinge_table(self):
+        """Base edges e_k, counts c_k and tail masses G_k, the knots
+        tau_k = e_k**p, and H_k = E[(U**p - tau_k)+] with H_K = 0."""
         p = self.exponent
-        return sum(c * (hi ** (p + 1.0) - lo ** (p + 1.0)) / (p + 1.0)
-                   for lo, hi, c in self.base.segments())
+        edges, c, tail = self.base._pieces()
+        knots = edges ** p
+        pieces = _power_piece(c, edges[1:], edges[:-1], knots[:-1], p)
+        return edges, c, tail, knots, _suffix_sum(pieces + np.diff(knots) * tail[1:])
 
-    def hinge_expectation(self, t: float) -> float:
-        """E[(U**p - t)+], exact per segment."""
+    def mean(self) -> float:
+        """E[U**p]."""
+        return float(self._hinge_table()[4][0])
+
+    def hinge_expectation(self, t):
+        """E[(U**p - t)+] at a scalar t or elementwise over an array; the
+        piece holding t**(1/p) is integrated in closed form."""
         p = self.exponent
-        cut = t ** (1.0 / p) if t > 0.0 else 0.0
-        total = 0.0
-        for lo, hi, c in self.base.segments():
-            m = max(lo, cut)
-            if hi <= m:
-                continue
-            total += c * ((hi ** (p + 1.0) - m ** (p + 1.0)) / (p + 1.0)
-                          - t * (hi - m))
-        return total
+        edges, c, tail, knots, hinge = self._hinge_table()
+
+        def partial(k, t):
+            return _power_piece(c[k], edges[k + 1], t ** (1.0 / p), t, p)
+
+        return _hinge_lookup(t, knots, tail, hinge, partial)
 
     def power(self, q: float) -> "PowerDensity":
         return PowerDensity(self.base, self.exponent * q)
+
+
+def _suffix_sum(terms: np.ndarray) -> np.ndarray:
+    """s_k = sum of terms[j] over j >= k, with a trailing s_K = 0."""
+    return np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+
+
+def _power_piece(c, hi, cut, t, p: float):
+    """c * int_cut^hi (u**p - t) du, in closed form."""
+    return c * ((hi ** (p + 1.0) - cut ** (p + 1.0)) / (p + 1.0) - t * (hi - cut))
+
+
+def _hinge_lookup(t, knots, tail, hinge, partial):
+    """E[(V - t)+] for a scalar or an array t, from V's knots
+    tau_0 = 0 < ... < tau_K, the tables tail[k] = P(V > tau_k) and
+    hinge[k] = E[(V - tau_k)+], and partial(k, t), the part of piece k
+    above t, for tau_k <= t < tau_{k+1}.
+
+    Scalar and array t take the same elementwise path, so a scalar result
+    equals the array element bitwise. t <= 0 gives mean - t * mass and
+    t >= tau_K gives 0; a NaN t gives NaN.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    flat = t.reshape(-1)
+    # the piece formula is evaluated at t clamped into [0, tau_K]; the
+    # regions outside take their own closed forms below
+    inner = np.clip(flat, 0.0, knots[-1])
+    k = np.minimum(np.searchsorted(knots, inner, side="right"), knots.size - 1) - 1
+    inside = hinge[k + 1] + (knots[k + 1] - inner) * tail[k + 1] + partial(k, inner)
+    values = np.where(flat <= 0.0, hinge[0] - flat * tail[0],
+                      np.where(flat >= knots[-1], 0.0, inside))
+    return values.reshape(t.shape)[()]
 
 
 def _level_count_of(values: np.ndarray) -> LevelCount:
@@ -158,8 +217,6 @@ def level_count(x: LatticePMF) -> LevelCount:
 
 def power_transform_density(d, p: float) -> PowerDensity:
     """Density descriptor of U**p for U drawn from d (step or power)."""
-    if isinstance(d, PowerDensity):
-        return d.power(p)
     return d.power(p)
 
 
@@ -381,22 +438,25 @@ def convex_order_check(u_density, v_density, hinge_grid=None,
     hinge characterization of the convex order (dominance at the kinks plus
     convexity between them) this certifies E[w(V)] >= E[w(U)] for convex w.
     The default grid is the union of both breakpoint sets, the midpoints of
-    consecutive points, and zero.
+    consecutive points, and zero; an explicit hinge_grid must be a non-empty
+    1-D sequence of finite points, else DomainError. Each density is
+    evaluated once over the whole grid.
     """
     mu_u, mu_v = u_density.mean(), v_density.mean()
     if abs(mu_u - mu_v) > mean_tol * max(1.0, abs(mu_u)):
         raise MeanMismatchError(
             f"means differ: {mu_u} vs {mu_v} (tolerance {mean_tol})")
-    ts = (np.asarray(hinge_grid, dtype=np.float64) if hinge_grid is not None
-          else _default_hinge_grid(u_density, v_density))
-    worst = math.inf
-    worst_t = math.nan
-    worst_pair = (math.nan, math.nan)
-    for t in ts:
-        ev = v_density.hinge_expectation(float(t))
-        eu = u_density.hinge_expectation(float(t))
-        if ev - eu < worst:
-            worst, worst_t, worst_pair = ev - eu, float(t), (ev, eu)
-    return from_margin("convex_order", worst_pair[0], worst_pair[1], worst,
-                       hinge_tol, {"hinges": int(ts.size), "worst_t": worst_t,
-                                   "mean": mu_u})
+    if hinge_grid is None:
+        ts = _default_hinge_grid(u_density, v_density)
+    else:
+        ts = np.asarray(hinge_grid, dtype=np.float64)
+        if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
+            raise DomainError("hinge_grid needs one or more finite points in a "
+                              f"1-D sequence, got {hinge_grid!r}")
+    ev = v_density.hinge_expectation(ts)
+    eu = u_density.hinge_expectation(ts)
+    gap = ev - eu
+    j = int(np.argmin(gap))  # first occurrence of the worst gap
+    return from_margin("convex_order", ev[j], eu[j], gap[j], hinge_tol,
+                       {"hinges": int(ts.size), "worst_t": float(ts[j]),
+                        "mean": mu_u})

@@ -8,16 +8,27 @@ monotone half builds the symmetric families.
 
 The scalar_* functions evaluate the crossing and folding checks one
 threshold at a time; the library's array evaluation must reproduce them
-exactly.
+exactly. The loop_* functions evaluate hinge expectations, means and the
+convex-order certificate one segment and one hinge at a time; the
+library's suffix-sum tables must agree with them to rounding.
 """
 
 import math
 
 import numpy as np
 
+from lclc.errors import MeanMismatchError
 from lclc.lattice import LatticePMF, normalize, symmetry_center
-from lclc.majorization import _level_count_of, crossing_interval, level_count
-from lclc.report import CheckReport
+from lclc.majorization import (
+    HINGE_TOL,
+    MEAN_TOL,
+    LevelCount,
+    _default_hinge_grid,
+    _level_count_of,
+    crossing_interval,
+    level_count,
+)
+from lclc.report import CheckReport, from_margin
 
 
 def random_monotone_log_concave(rng, max_support=60, min_support=2,
@@ -140,3 +151,53 @@ def scalar_fold_violation(x: LatticePMF) -> int:
         gap = abs(int(full(float(t))) - (2 * int(half(float(t))) - 1))
         worst = max(worst, gap)
     return worst
+
+
+def loop_hinge_expectation(d, t: float) -> float:
+    """E[(U - t)+] for a step density, or E[(U**p - t)+] for a power
+    density, summed one segment at a time."""
+    if isinstance(d, LevelCount):
+        total = 0.0
+        for lo, hi, c in d.segments():
+            a = max(lo - t, 0.0)
+            b = max(hi - t, 0.0)
+            total += c * (b * b - a * a) / 2.0
+        return total
+    p = d.exponent
+    cut = t ** (1.0 / p) if t > 0.0 else 0.0
+    total = 0.0
+    for lo, hi, c in d.base.segments():
+        m = max(lo, cut)
+        if hi <= m:
+            continue
+        total += c * ((hi ** (p + 1.0) - m ** (p + 1.0)) / (p + 1.0)
+                      - t * (hi - m))
+    return total
+
+
+def loop_mean(d) -> float:
+    """Mean of a step density (p = 1) or of a power density, per segment."""
+    base, p = (d, 1.0) if isinstance(d, LevelCount) else (d.base, d.exponent)
+    return sum(c * (hi ** (p + 1.0) - lo ** (p + 1.0)) / (p + 1.0)
+               for lo, hi, c in base.segments())
+
+
+def loop_convex_order_check(u, v, hinge_grid=None, mean_tol: float = MEAN_TOL,
+                            hinge_tol: float = HINGE_TOL) -> CheckReport:
+    """convex_order_check's report, built by a per-hinge loop."""
+    mu_u, mu_v = loop_mean(u), loop_mean(v)
+    if abs(mu_u - mu_v) > mean_tol * max(1.0, abs(mu_u)):
+        raise MeanMismatchError(f"means differ: {mu_u} vs {mu_v}")
+    ts = (np.asarray(hinge_grid, dtype=np.float64) if hinge_grid is not None
+          else _default_hinge_grid(u, v))
+    worst = math.inf
+    worst_t = math.nan
+    worst_pair = (math.nan, math.nan)
+    for t in ts:
+        ev = loop_hinge_expectation(v, float(t))
+        eu = loop_hinge_expectation(u, float(t))
+        if ev - eu < worst:
+            worst, worst_t, worst_pair = ev - eu, float(t), (ev, eu)
+    return from_margin("convex_order", worst_pair[0], worst_pair[1], worst,
+                       hinge_tol, {"hinges": int(ts.size), "worst_t": worst_t,
+                                   "mean": mu_u})

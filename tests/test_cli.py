@@ -169,6 +169,19 @@ MALFORMED = [
      {"law": "geometric"}),
 ]
 
+_LAW_ARGV = ["--law", "geometric", "--lambda", "0.5"]
+_LAW_PARAMS = {"law": "geometric", "lam": 0.5}
+
+# a zero the user passes is used, never replaced by the flag's default, so
+# each of these is refused downstream
+for _command, _flag, _key in (("verify", "--p", "p"), ("verify", "--q", "q"),
+                              ("verify", "--alpha", "alpha"),
+                              ("verify", "--tail-tol", "tail_tol"),
+                              ("crossing", "--p", "p"), ("match", "--p", "p"),
+                              ("epi", "--alpha", "alpha")):
+    MALFORMED.append((f"{_command}_{_key}_zero", _command, None,
+                      _LAW_ARGV + [_flag, "0"], {**_LAW_PARAMS, _key: 0.0}))
+
 
 def _assert_usage_error(code, capsys):
     out, err = capsys.readouterr()
@@ -193,6 +206,10 @@ class TestUsageErrors:
                                      doc, argv, params):
         path = _write_dist(tmp_path, doc) if doc is not None else None
         config = RunConfig(command, input_path=path, parameters=params)
+        _assert_usage_error(run(config, io.StringIO()), capsys)
+
+    def test_empty_constant_name_via_run(self, capsys):
+        config = RunConfig("constants", parameters={"which": ""})
         _assert_usage_error(run(config, io.StringIO()), capsys)
 
     def test_integral_offset_accepted(self, tmp_path):

@@ -1,10 +1,12 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lclc.entropy import power_sum, power_sum_geometric
 from lclc.errors import (
+    DomainError,
     MeanMismatchError,
     NoCrossingError,
     NotMonotoneLogConcaveError,
@@ -14,6 +16,7 @@ from lclc.lattice import ParametricLaw, materialize, normalize
 from lclc.majorization import (
     GeometricSequence,
     LevelCount,
+    _default_hinge_grid,
     cake_layer_check,
     convex_order_check,
     crossing_interval,
@@ -24,6 +27,9 @@ from lclc.majorization import (
 )
 from lclc.matching import match_geometric
 from support import (
+    loop_convex_order_check,
+    loop_hinge_expectation,
+    loop_mean,
     random_monotone_log_concave,
     random_pmf,
     random_symmetric_log_concave,
@@ -54,8 +60,9 @@ class TestLevelCount:
     def test_counts_strictly_decreasing_to_zero(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
-            f = level_count(random_pmf(rng))
-            assert f.counts[0] == np.count_nonzero(f.breakpoints >= 0) or True
+            x = random_pmf(rng)
+            f = level_count(x)
+            assert f.counts[0] == np.count_nonzero(x.weights > 0)
             assert np.all(np.diff(f.counts) < 0)
             assert f.counts[-1] == 0
 
@@ -353,6 +360,119 @@ class TestConvexOrder:
                 ew_v = _integrate_piecewise_linear(v, knots, s0, w0)
                 ew_u = _integrate_piecewise_linear(u, knots, s0, w0)
                 assert ew_v >= ew_u - 1e-9
+
+
+def _matched_pair_densities(rng, p):
+    """Level counts of a monotone log-concave x and of its matched
+    geometric comparator, and their p - 1 power transforms."""
+    x = random_monotone_log_concave(rng, max_support=30, direction="decreasing")
+    lam = match_geometric(x, p).lam
+    z = materialize(ParametricLaw.geometric(lam), 1e-15)
+    u, v = level_count(x), level_count(z)
+    return [(u, v), (power_transform_density(u, p - 1.0),
+                     power_transform_density(v, p - 1.0))]
+
+
+def _probe_grid(u, v) -> np.ndarray:
+    """The default hinge grid plus negative hinges (small enough that the
+    values stay below one) and hinges at and above the top of both
+    supports."""
+    top = float(max(u.breakpoints.max(), v.breakpoints.max()))
+    return np.concatenate(([-0.1, -1e-3], _default_hinge_grid(u, v),
+                           [top, top * (1 + 1e-12), 1.5 * top, 2.0]))
+
+
+def _exact_hinge(f: LevelCount, t: float) -> Fraction:
+    """E[(U - t)+] in exact rational arithmetic over the float breakpoints."""
+    t = Fraction(t)
+    total = Fraction(0)
+    for lo, hi, c in f.segments():
+        a = max(Fraction(lo) - t, Fraction(0))
+        b = max(Fraction(hi) - t, Fraction(0))
+        total += c * (b * b - a * a) / 2
+    return total
+
+
+def _raises_mean_mismatch(check, u, v) -> bool:
+    try:
+        check(u, v)
+    except MeanMismatchError:
+        return True
+    return False
+
+
+class TestHingeTables:
+    """The suffix-sum hinge tables against the per-segment loops in
+    support.py, an exact rational oracle, and their own scalar path."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+    def test_matches_loop_on_matched_pairs(self, p):
+        rng = np.random.default_rng(int(p) + 50)
+        for _ in range(4):
+            for u, v in _matched_pair_densities(rng, p):
+                ts = _probe_grid(u, v)
+                for d in (u, v):
+                    loop = np.array([loop_hinge_expectation(d, float(t)) for t in ts])
+                    assert np.max(np.abs(d.hinge_expectation(ts) - loop)) <= 1e-15
+                    assert abs(d.mean() - loop_mean(d)) <= 1e-15
+                assert (_raises_mean_mismatch(convex_order_check, u, v)
+                        == _raises_mean_mismatch(loop_convex_order_check, u, v))
+                # the hinge certificate itself, whether or not the means match
+                ref = loop_convex_order_check(u, v, mean_tol=np.inf)
+                report = convex_order_check(u, v, mean_tol=np.inf)
+                assert report.verdict == ref.verdict
+                assert abs(report.margin - ref.margin) <= 1e-15
+                assert report.params["hinges"] == ref.params["hinges"]
+
+    def test_scalar_equals_array_element_bitwise(self):
+        rng = np.random.default_rng(51)
+        for p in (2.0, 3.0):
+            for u, v in _matched_pair_densities(rng, p):
+                ts = _probe_grid(u, v)
+                for d in (u, v, v.power(0.5)):
+                    array = d.hinge_expectation(ts)
+                    scalar = np.array([d.hinge_expectation(float(t)) for t in ts])
+                    assert array.shape == ts.shape
+                    assert np.array_equal(array.view(np.int64), scalar.view(np.int64))
+
+    def test_regions_below_zero_and_above_the_top(self):
+        f = level_count(normalize([5, 3, 2]))
+        for t in (-2.0, -0.5, 0.0):
+            assert f.hinge_expectation(t) == f.mean() - t * f.mass()
+        assert f.hinge_expectation(np.array([0.5, 0.7, 1e300])).tolist() == [0.0] * 3
+        assert np.isnan(f.hinge_expectation(np.nan))
+
+    def test_exact_oracle_with_narrow_top_pieces(self):
+        # two near-equal largest masses make the top piece 1e-9 wide, where
+        # the form sum c (hi**2 - lo**2) / 2 - t sum c (hi - lo) loses every
+        # digit of hinge values around 1e-19
+        rng = np.random.default_rng(52)
+        pmfs = [normalize([1.0, 1.0 - 1e-9, 0.5, 0.25, 0.125]),
+                normalize([0.4, 0.4 - 1e-12, 0.2])]
+        pmfs += [random_pmf(rng, max_support=40) for _ in range(10)]
+        for x in pmfs:
+            f = level_count(x)
+            edges = np.concatenate(([0.0], f.breakpoints))
+            ts = np.concatenate((edges, (edges[:-1] + edges[1:]) / 2.0,
+                                 np.nextafter(edges[1:], 0.0), [-0.3, 1.0]))
+            values = f.hinge_expectation(ts)
+            for t, value in zip(ts.tolist(), values.tolist()):
+                exact = _exact_hinge(f, t)
+                assert abs(Fraction(value) - exact) <= Fraction(1e-13) * exact, (t, value)
+
+    def test_first_worst_hinge_among_ties(self):
+        f = level_count(normalize([5, 3, 2]))
+        grid = [0.9, 0.8, 0.7]  # above the top: every gap is exactly zero
+        report = convex_order_check(f, f, hinge_grid=grid)
+        assert report.params["worst_t"] == 0.9
+        assert report == loop_convex_order_check(f, f, hinge_grid=grid)
+        assert convex_order_check(f, f).params["worst_t"] == 0.0
+
+    @pytest.mark.parametrize("grid", [[], [np.nan], [0.1, np.inf], [[0.1, 0.2]]])
+    def test_rejects_bad_hinge_grids(self, grid):
+        f = level_count(normalize([5, 3, 2]))
+        with pytest.raises(DomainError):
+            convex_order_check(f, f, hinge_grid=grid)
 
 
 class TestMomentDominance:
