@@ -13,19 +13,17 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, TextIO
+from typing import Any, Callable, NamedTuple, TextIO
 
 from . import entropy, inequalities, lyapunov, majorization, matching
-from .errors import DomainError, LatticeError, MissingParameterError
-from .lattice import (
-    DEFAULT_TAIL_TOL,
-    Direction,
-    LatticePMF,
-    is_log_concave,
-    monotonicity,
-    pmf_from_json,
-    symmetry_center,
+from .errors import (
+    BadOrdersError,
+    DomainError,
+    LatticeError,
+    MissingParameterError,
+    UnclassifiedError,
 )
+from .lattice import DEFAULT_TAIL_TOL, LatticePMF, Structure, Subject, pmf_from_json
 from .report import FAIL, NA, CheckReport, info
 
 DEFAULT_T_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -43,35 +41,10 @@ class RunConfig:
     out_path: str | None = None
 
 
-@dataclass(frozen=True)
-class Classification:
-    log_concave: bool
-    direction: Direction
-    symmetry: float | None
-    support_size: int
-    offset: int
-
-    @property
-    def monotone(self) -> bool:
-        return self.direction is not Direction.NEITHER
-
-    @property
-    def integer_symmetric(self) -> bool:
-        return self.symmetry is not None and self.symmetry == int(self.symmetry)
-
-    @property
-    def half_integer_symmetric(self) -> bool:
-        return self.symmetry is not None and self.symmetry != int(self.symmetry)
-
-
-def classify(x: LatticePMF) -> Classification:
-    """Structural summary: log-concavity, monotone direction, symmetry."""
-    return Classification(is_log_concave(x), monotonicity(x), symmetry_center(x),
-                          x.support_size, x.offset)
-
-
-def _skip(name: str, reason: str) -> CheckReport:
-    return CheckReport(name, math.nan, math.nan, math.nan, NA, {"reason": reason})
+def classify(x: LatticePMF) -> Subject:
+    """The run's subject: x with its structural facts, each decided at most
+    once however many checks read them."""
+    return Subject(x)
 
 
 def _load_pmf(config: RunConfig) -> LatticePMF:
@@ -89,101 +62,178 @@ def _load_pmf(config: RunConfig) -> LatticePMF:
     raise MissingParameterError("no distribution given: use --input or --law/--lambda")
 
 
-def _classification_row(c: Classification) -> CheckReport:
-    return info("classification", c.support_size, {
-        "log_concave": c.log_concave,
-        "direction": c.direction.value,
-        "symmetry_center": c.symmetry,
-        "offset": c.offset,
-    })
+# ---------------------------------------------------------------------------
+# The check table.
+# ---------------------------------------------------------------------------
+
+Gate = tuple[Callable[[Subject], bool], str]
 
 
-def _concavity_row(x: LatticePMF) -> CheckReport:
-    rep = lyapunov.check_concavity(x)
+class Check(NamedTuple):
+    """A table entry: the row an n/a entry writes; the hypotheses it needs,
+    each a predicate on the subject with the reason the row reads n/a when
+    it fails; and the evaluator, which calls the public check functions
+    through their modules, so a function rebound later is the one called."""
+
+    name: str
+    gates: tuple[Gate, ...]
+    rows: Callable[[Subject, dict[str, Any]], list[CheckReport]]
+
+
+def _log_concave(reason: str) -> Gate:
+    return (lambda s: s.log_concave, reason)
+
+
+_LC_CLASSIFIED = _log_concave("requires monotone or symmetric log-concave")
+_LC_MONOTONE = _log_concave("requires monotone log-concave")
+_MONOTONE: Gate = (lambda s: s.monotone, "asserted for monotone pmfs")
+_CLASSIFIED: Gate = (lambda s: s.structure is not None,
+                     "pmf is neither monotone nor symmetric")
+_MATCHABLE: Gate = (
+    lambda s: s.structure in (Structure.MONOTONE, Structure.INTEGER_SYMMETRIC),
+    "needs a monotone or integer-symmetric pmf")
+
+
+def _classification(s: Subject, params) -> list[CheckReport]:
+    return [info("classification", s.pmf.support_size, {
+        "log_concave": s.log_concave,
+        "direction": s.direction.value,
+        "symmetry_center": s.symmetry,
+        "offset": s.pmf.offset,
+    })]
+
+
+def _concavity(s: Subject, params) -> list[CheckReport]:
+    rep = lyapunov.check_concavity(s.pmf)
     margin = min(rep.min_second_difference, -rep.max_second_derivative)
-    return CheckReport("phi_concavity", rep.min_second_difference,
-                       rep.max_second_derivative, margin,
-                       "pass" if rep.concave else FAIL,
-                       {"t_min": float(rep.grid[0]), "t_max": float(rep.grid[-1]),
-                        "n_points": int(rep.grid.size),
-                        "witness": rep.witness})
+    return [CheckReport("phi_concavity", rep.min_second_difference,
+                        rep.max_second_derivative, margin,
+                        "pass" if rep.concave else FAIL,
+                        {"t_min": float(rep.grid[0]), "t_max": float(rep.grid[-1]),
+                         "n_points": int(rep.grid.size),
+                         "witness": rep.witness})]
 
 
-def _matching_rows(x: LatticePMF, c: Classification, p: float) -> list[CheckReport]:
-    rows: list[CheckReport] = []
-    if c.support_size < 2:
-        return [_skip("match", "matching needs a non-degenerate pmf")]
-    if c.monotone:
-        decreasing = x if c.direction is not Direction.INCREASING else x.reversed()
-        result = matching.match_geometric(x, p)
-        comparator = majorization.GeometricSequence(1.0 - result.lam, result.lam)
-        rows.append(info("match_lambda", result.lam,
-                         {"p": p, "residual": result.residual,
-                          "iterations": result.iterations, "family": "geometric"}))
-        rows.append(majorization.crossing_verify(decreasing, comparator))
-    else:
-        result = matching.match_symmetric_geometric(x, p)
-        rows.append(info("match_lambda", result.lam,
-                         {"p": p, "residual": result.residual,
-                          "iterations": result.iterations,
-                          "family": "symmetric_geometric"}))
-    rows.append(matching.renyi_dominance_report(x, p))
-    return rows
+def _concentration(s: Subject, params) -> list[CheckReport]:
+    K = inequalities.class_constant(s)
+    return [inequalities.check_concentration(s.pmf, float(t), side, K)
+            for t in _t_grid_param(params) for side in inequalities.Side]
 
 
-def _verify_rows(x: LatticePMF, params: dict[str, Any]) -> list[CheckReport]:
-    c = classify(x)
-    t_grid = _t_grid_param(params)
-    p = _param(params, "p", 2.0)
-    q = _param(params, "q", 1.0)
-    alpha = _param(params, "alpha", 2.0)
-    rows = [_classification_row(c),
-            inequalities.h2_hinf_identity_check(x),
-            majorization.cake_layer_check(x, 2.0)]
+def _match(s: Subject, params) -> list[CheckReport]:
+    p = _order(params, "p")
+    family, result = matching.match_comparator(s, p)
+    return [info("match_lambda", result.lam,
+                 {"p": p, "residual": result.residual,
+                  "iterations": result.iterations, "family": family})]
 
-    if not c.log_concave:
-        rows.append(_skip("mean_mode", "requires a log-concave pmf"))
-        rows.append(_skip("phi_concavity", "requires monotone or symmetric log-concave"))
-        rows.append(_skip("varentropy_bound", "requires monotone or symmetric log-concave"))
-        rows.append(_skip("renyi_gap", "requires monotone log-concave"))
-        rows.append(_skip("concentration", "requires monotone or symmetric log-concave"))
-        rows.append(_skip("epi_reversal", "requires monotone log-concave"))
-        rows.append(_skip("renyi_dominance", "requires monotone or symmetric log-concave"))
-        return rows
 
-    rows.append(inequalities.mean_mode_check(x))
+def _crossing_pattern(s: Subject, params) -> list[CheckReport]:
+    lam = matching.match_comparator(s, _order(params, "p"))[1].lam
+    z = majorization.GeometricSequence(1.0 - lam, lam)
+    return [majorization.crossing_verify(s.decreasing, z)]
 
-    if c.monotone or c.half_integer_symmetric:
-        rows.append(_concavity_row(x))
-    else:
-        rows.append(_skip("phi_concavity",
-                          "asserted for monotone or half-integer-symmetric pmfs"))
 
-    if c.monotone or c.symmetry is not None:
-        rows.append(inequalities.check_varentropy(x))
-        K = (inequalities.sup_varentropy_symmetric()[1]
-             if c.integer_symmetric and not c.monotone else 1.0)
-        for t in t_grid:
-            for side in (inequalities.Side.UPPER, inequalities.Side.LOWER):
-                rows.append(inequalities.check_concentration(x, float(t), side, K))
-    else:
-        rows.append(_skip("varentropy_bound", "pmf is neither monotone nor symmetric"))
-        rows.append(_skip("concentration", "pmf is neither monotone nor symmetric"))
+def _matching(s: Subject, params) -> list[CheckReport]:
+    rows = _match(s, params)
+    if s.monotone:
+        rows += _crossing_pattern(s, params)
+    return rows + [matching.renyi_dominance_report(s, _order(params, "p"))]
 
-    if c.monotone:
-        rows.append(inequalities.check_renyi_gap(x, p, q) if p > q
-                    else _skip("renyi_gap", f"needs p > q, got p={p}, q={q}"))
-        rows.append(inequalities.epi_reversal_check(x, alpha))
-    else:
-        rows.append(_skip("renyi_gap", "asserted for monotone pmfs"))
-        rows.append(_skip("epi_reversal", "asserted for monotone pmfs"))
 
-    if c.monotone or c.integer_symmetric:
-        rows.extend(_matching_rows(x, c, p))
-    else:
-        rows.append(_skip("renyi_dominance",
-                          "needs a monotone or integer-symmetric pmf"))
-    return rows
+def _crossing(s: Subject, params) -> list[CheckReport]:
+    p = _order(params, "p")
+    pattern = _crossing_pattern(s, params)
+    cross = pattern[0].params
+    lam = matching.match_comparator(s, p)[1].lam
+    return [info("match_lambda", lam, {"p": p}),
+            info("crossing_interval_lo", cross["interval_lo"],
+                 {"a": cross["a"], "b": cross["b"], "hi": cross["interval_hi"]}),
+            *pattern]
+
+
+def _entropy(s: Subject, params) -> list[CheckReport]:
+    p = params.get("p")
+    if p is not None:
+        return [info("renyi_entropy", entropy.renyi(s.pmf, p), {"p": p})]
+    summary = entropy.info_summary(s.pmf)
+    return [info("shannon_entropy", summary.shannon),
+            info("min_entropy", summary.min_entropy),
+            info("varentropy", summary.varentropy)]
+
+
+def _phi(s: Subject, params) -> list[CheckReport]:
+    return [info("phi", lyapunov.phi(s.pmf, float(t)),
+                 {"t": float(t), "phi2": lyapunov.phi_second_derivative(s.pmf, float(t))})
+            for t in _t_grid_param(params)]
+
+
+PHI_CONCAVITY = Check("phi_concavity", (_LC_CLASSIFIED, (
+    lambda s: s.structure in (Structure.MONOTONE, Structure.HALF_INTEGER_SYMMETRIC),
+    "asserted for monotone or half-integer-symmetric pmfs")), _concavity)
+CONCENTRATION = Check("concentration", (_LC_CLASSIFIED, _CLASSIFIED), _concentration)
+RENYI_GAP = Check("renyi_gap", (_LC_MONOTONE, _MONOTONE), lambda s, params: [
+    inequalities.check_renyi_gap(s, _order(params, "p"), _order(params, "q"))])
+# ungated: the epi and varentropy subcommands rely on the check function's
+# own guard, verify adds its gates
+EPI_REVERSAL = Check("epi_reversal", (), lambda s, params: [
+    inequalities.epi_reversal_check(s, _order(params, "alpha"))])
+VARENTROPY_BOUND = Check("varentropy_bound", (), lambda s, params: [
+    inequalities.check_varentropy(s)])
+
+VERIFY = (
+    Check("classification", (), _classification),
+    Check("h2_hinf_identity", (), lambda s, params: [
+        inequalities.h2_hinf_identity_check(s)]),
+    Check("cake_layer", (), lambda s, params: [majorization.cake_layer_check(s, 2.0)]),
+    Check("mean_mode", (_log_concave("requires a log-concave pmf"),),
+          lambda s, params: [inequalities.mean_mode_check(s)]),
+    PHI_CONCAVITY,
+    VARENTROPY_BOUND._replace(gates=(_LC_CLASSIFIED, _CLASSIFIED)),
+    CONCENTRATION,
+    RENYI_GAP,
+    EPI_REVERSAL._replace(gates=(_LC_MONOTONE, _MONOTONE)),
+    Check("renyi_dominance", (_LC_CLASSIFIED, _MATCHABLE, (
+        lambda s: s.pmf.support_size >= 2, "matching needs a non-degenerate pmf")),
+        _matching),
+)
+# a non-log-concave pmf's n/a rows list renyi_gap before concentration
+_AT = VERIFY.index(CONCENTRATION)
+VERIFY_NOT_LOG_CONCAVE = VERIFY[:_AT] + (RENYI_GAP, CONCENTRATION) + VERIFY[_AT + 2:]
+
+# what an entry writes when a hypothesis fails: an n/a row, nothing, or
+# it refuses the input (exit 2)
+OMIT, REFUSE = "omit", "refuse"
+
+# each subcommand's entries and the policy for a failed hypothesis
+VIEWS = {
+    "verify": (VERIFY, NA),
+    "entropy": ((Check("entropy", (), _entropy),), REFUSE),
+    "varentropy": ((Check("varentropy", (), lambda s, params: [
+        info("varentropy", entropy.varentropy(s.pmf))]), VARENTROPY_BOUND), NA),
+    "phi": ((Check("phi", (), _phi), PHI_CONCAVITY), OMIT),
+    "crossing": ((Check("crossing", (_LC_MONOTONE, _MONOTONE), _crossing),), REFUSE),
+    "match": ((Check("match", (_MATCHABLE,), _match),), REFUSE),
+    "concentration": ((CONCENTRATION,), REFUSE),
+    "epi": ((EPI_REVERSAL,), REFUSE),
+}
+
+
+def _evaluate(check: Check, s: Subject, params: dict[str, Any],
+              policy: str) -> list[CheckReport]:
+    """The entry's rows, or what the policy writes for the first hypothesis
+    s fails, or for an order or class the check function itself refuses."""
+    reason = next((why for holds, why in check.gates if not holds(s)), None)
+    if reason is None:
+        try:
+            return check.rows(s, params)
+        except (BadOrdersError, UnclassifiedError) as exc:
+            reason = str(exc)
+    if policy == REFUSE:
+        raise LatticeError(f"{check.name}: {reason}")
+    if policy == OMIT:
+        return []
+    return [CheckReport(check.name, math.nan, math.nan, math.nan, NA, {"reason": reason})]
 
 
 def run(config: RunConfig, stream: TextIO | None = None) -> int:
@@ -225,77 +275,27 @@ def _dispatch(config: RunConfig) -> list[CheckReport]:
         gamma = _param(params, "gamma", 1.0)
         return [lyapunov.counterexample_check(lam, gamma)]
 
-    x = _load_pmf(config)
     if cmd == "verify":
-        return _verify_rows(x, params)
-    if cmd == "entropy":
-        if params.get("p") is not None:
-            p = params["p"]
-            return [info("renyi_entropy", entropy.renyi(x, p), {"p": p})]
-        summary = entropy.info_summary(x)
-        return [info("shannon_entropy", summary.shannon),
-                info("min_entropy", summary.min_entropy),
-                info("varentropy", summary.varentropy)]
-    if cmd == "varentropy":
-        rows = [info("varentropy", entropy.varentropy(x))]
-        try:
-            rows.append(inequalities.check_varentropy(x))
-        except LatticeError as exc:
-            rows.append(_skip("varentropy_bound", str(exc)))
-        return rows
-    if cmd == "phi":
-        t_grid = _t_grid_param(params)
-        rows = [info("phi", lyapunov.phi(x, float(t)),
-                     {"t": float(t),
-                      "phi2": lyapunov.phi_second_derivative(x, float(t))})
-                for t in t_grid]
-        c = classify(x)
-        if c.log_concave and (c.monotone or c.half_integer_symmetric):
-            rows.append(_concavity_row(x))
-        return rows
-    if cmd == "crossing":
-        p = _param(params, "p", 2.0)
-        c = classify(x)
-        if not (c.log_concave and c.monotone):
-            raise LatticeError("crossing needs a monotone log-concave pmf")
-        decreasing = x if c.direction is not Direction.INCREASING else x.reversed()
-        result = matching.match_geometric(x, p)
-        comparator = majorization.GeometricSequence(1.0 - result.lam, result.lam)
-        cross = majorization.crossing_interval(decreasing, comparator)
-        return [info("match_lambda", result.lam, {"p": p}),
-                info("crossing_interval_lo", cross.interval.lo,
-                     {"a": cross.first_index, "b": cross.last_index,
-                      "hi": cross.interval.hi}),
-                majorization.crossing_verify(decreasing, comparator)]
-    if cmd == "match":
-        p = _param(params, "p", 2.0)
-        c = classify(x)
-        if c.monotone:
-            result = matching.match_geometric(x, p)
-            family = "geometric"
-        elif c.integer_symmetric:
-            result = matching.match_symmetric_geometric(x, p)
-            family = "symmetric_geometric"
-        else:
-            raise LatticeError("match needs a monotone or integer-symmetric pmf")
-        return [info("match_lambda", result.lam,
-                     {"p": p, "residual": result.residual,
-                      "iterations": result.iterations, "family": family})]
-    if cmd == "concentration":
-        t_grid = _t_grid_param(params)
-        c = classify(x)
-        if not c.log_concave or (not c.monotone and c.symmetry is None):
-            raise LatticeError("concentration needs a monotone or symmetric "
-                               "log-concave pmf")
-        K = (inequalities.sup_varentropy_symmetric()[1]
-             if c.integer_symmetric and not c.monotone else 1.0)
-        return [inequalities.check_concentration(x, float(t), side, K)
-                for t in t_grid
-                for side in (inequalities.Side.UPPER, inequalities.Side.LOWER)]
-    if cmd == "epi":
-        alpha = _param(params, "alpha", 2.0)
-        return [inequalities.epi_reversal_check(x, alpha)]
-    raise LatticeError(f"unknown command {cmd!r}")
+        # a bad order or grid exits 2 before any row, whatever the pmf
+        for key in _ORDER_DEFAULTS:
+            if not _order(params, key) > 0.0:
+                raise BadOrdersError(f"--{key} must be positive, got {_order(params, key)}")
+        _t_grid_param(params)
+    s = classify(_load_pmf(config))
+    if cmd not in VIEWS:
+        raise LatticeError(f"unknown command {cmd!r}")
+    checks, policy = VIEWS[cmd]
+    if cmd == "verify" and not s.log_concave:
+        checks = VERIFY_NOT_LOG_CONCAVE
+    return [row for check in checks for row in _evaluate(check, s, params, policy)]
+
+
+_ORDER_DEFAULTS = {"p": 2.0, "q": 1.0, "alpha": 2.0}
+
+
+def _order(params: dict[str, Any], key: str) -> float:
+    """The order --p, --q or --alpha, or its default when none was given."""
+    return _param(params, key, _ORDER_DEFAULTS[key])
 
 
 def _param(params: dict[str, Any], key: str, default: Any) -> Any:
@@ -399,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--t-grid", dest="t_grid", type=_t_grid, default=None)
         p.add_argument("--which", choices=("vs", "gap", "c"), default=None)
-        p.add_argument("--suite", default="all")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
         p.add_argument("--out", dest="out_path", default=None)
         p.add_argument("--format", dest="output_format",
@@ -410,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     keys = ("law", "lam", "p", "q", "alpha", "gamma", "t_grid", "which",
-            "suite", "seed", "tail_tol")
+            "tail_tol")
     params = {k: getattr(args, k) for k in keys}
     return RunConfig(command=args.command, input_path=args.input_path,
                      parameters=params, output_format=args.output_format,

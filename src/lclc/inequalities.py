@@ -2,7 +2,8 @@
 varentropy bounds, the mean-versus-mode comparison, concentration of
 information content, the entropy-power reversal for differences, and the
 extremal constants obtained by 1-D optimization over the geometric and
-symmetric-geometric families."""
+symmetric-geometric families. A check takes a LatticePMF or a Subject,
+whose cached facts its guards read."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import entropy
 from .errors import BadOrdersError, NotMonotoneLogConcaveError, UnclassifiedError
-from .lattice import Direction, LatticePMF, difference, is_log_concave, mean_variance, monotonicity, symmetry_center
+from .lattice import LatticePMF, Structure, as_subject, mean_variance
 from .optimize import golden_section_max
 from .report import CheckReport, from_margin
 
@@ -54,7 +55,7 @@ def gap_constant(p: float, q: float) -> float:
     return _log_c(p) - _log_c(q)
 
 
-def check_renyi_gap(x: LatticePMF, p: float, q: float) -> CheckReport:
+def check_renyi_gap(x, p: float, q: float) -> CheckReport:
     """H_p(X) > H_q(X) + gap for p > q on monotone log-concave pmfs.
 
     Non-monotone input raises NotMonotoneLogConcaveError; a log-concavity
@@ -62,15 +63,16 @@ def check_renyi_gap(x: LatticePMF, p: float, q: float) -> CheckReport:
     well defined and informative.
     """
     if not p > q:
-        raise BadOrdersError(f"need p > q, got p={p}, q={q}")
-    if monotonicity(x) is Direction.NEITHER:
+        raise BadOrdersError(f"needs p > q, got p={p}, q={q}")
+    s = as_subject(x)
+    if not s.monotone:
         raise NotMonotoneLogConcaveError("the gap bound needs a monotone pmf")
-    h_p, h_q = entropy.renyi(x, p), entropy.renyi(x, q)
+    h_p, h_q = entropy.renyi(s.pmf, p), entropy.renyi(s.pmf, q)
     gap = gap_constant(p, q)
     margin = h_p - h_q - gap
     return from_margin("renyi_gap", h_p, h_q + gap, margin, 1e-10,
                        {"p": p, "q": q, "gap": gap,
-                        "log_concave": is_log_concave(x)})
+                        "log_concave": s.log_concave})
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,15 @@ def sup_varentropy_symmetric() -> tuple[float, float]:
     return lam, value
 
 
-def check_varentropy(x: LatticePMF) -> CheckReport:
+def class_constant(x) -> float:
+    """The constant of x's structural class: V_S for integer-symmetric
+    pmfs, else 1. It bounds the varentropy and sets the concentration rate."""
+    if as_subject(x).structure is Structure.INTEGER_SYMMETRIC:
+        return sup_varentropy_symmetric()[1]
+    return 1.0
+
+
+def check_varentropy(x) -> CheckReport:
     """V(X) against the bound for x's structural class.
 
     Monotone or half-integer-symmetric log-concave pmfs satisfy V < 1;
@@ -98,20 +108,15 @@ def check_varentropy(x: LatticePMF) -> CheckReport:
     symmetric-geometric laws. Anything else is not covered and raises
     UnclassifiedError.
     """
-    if not is_log_concave(x):
+    s = as_subject(x)
+    if not s.log_concave:
         raise UnclassifiedError("varentropy bounds need a log-concave pmf")
-    center = symmetry_center(x)
-    if monotonicity(x) is not Direction.NEITHER:
-        bound, klass = 1.0, "monotone"
-    elif center is not None and center != int(center):
-        bound, klass = 1.0, "half_integer_symmetric"
-    elif center is not None:
-        bound, klass = sup_varentropy_symmetric()[1], "integer_symmetric"
-    else:
+    if s.structure is None:
         raise UnclassifiedError("pmf is neither monotone nor symmetric")
-    v = entropy.varentropy(x)
+    bound = class_constant(s)
+    v = entropy.varentropy(s.pmf)
     return from_margin("varentropy_bound", v, bound, bound - v, 1e-9,
-                       {"class": klass})
+                       {"class": s.structure.value})
 
 
 def K_constant(x: LatticePMF, alpha_grid=None) -> float:
@@ -128,15 +133,17 @@ def K_constant(x: LatticePMF, alpha_grid=None) -> float:
 # Mean versus mode.
 # ---------------------------------------------------------------------------
 
-def mean_mode_check(x: LatticePMF) -> CheckReport:
+def mean_mode_check(x) -> CheckReport:
     """max(f(floor EX), f(ceil EX)) >= e**-1 * max_i f(i) for log-concave f.
 
     Monotonicity is not required. The report also carries the stronger
     log-affine interpolated form: e * f(floor)**(1-frac) * f(ceil)**frac
     >= max f, of which the headline inequality is a relaxation.
     """
-    if not is_log_concave(x):
+    s = as_subject(x)
+    if not s.log_concave:
         raise UnclassifiedError("mean-mode bound needs a log-concave pmf")
+    x = s.pmf
     mean, _ = mean_variance(x)
     lo, hi = math.floor(mean), math.ceil(mean)
     f_lo, f_hi = x.pmf(lo), x.pmf(hi)
@@ -208,24 +215,25 @@ def check_concentration(x: LatticePMF, t: float, side, K: float = 1.0) -> CheckR
 # Entropy-power reversal and the order-2 identity.
 # ---------------------------------------------------------------------------
 
-def epi_reversal_check(x: LatticePMF, alpha: float = 2.0) -> CheckReport:
+def epi_reversal_check(x, alpha: float = 2.0) -> CheckReport:
     """H_alpha(X - Y) <= H_alpha(X) + log 2 for iid monotone log-concave X, Y."""
     if not alpha >= 2.0:
         raise BadOrdersError(f"the reversal is asserted for alpha >= 2, got {alpha}")
-    if monotonicity(x) is Direction.NEITHER:
+    s = as_subject(x)
+    if not s.monotone:
         raise NotMonotoneLogConcaveError("the reversal needs a monotone pmf")
-    diff = difference(x, x)
-    lhs = entropy.renyi(diff, alpha)
-    rhs = entropy.renyi(x, alpha) + math.log(2.0)
+    lhs = entropy.renyi(s.self_difference, alpha)
+    rhs = entropy.renyi(s.pmf, alpha) + math.log(2.0)
     return from_margin("epi_reversal", lhs, rhs, rhs - lhs, 1e-10,
-                       {"alpha": alpha, "log_concave": is_log_concave(x)})
+                       {"alpha": alpha, "log_concave": s.log_concave})
 
 
-def h2_hinf_identity_check(x: LatticePMF) -> CheckReport:
+def h2_hinf_identity_check(x) -> CheckReport:
     """H_2(X) = H_inf(X - Y) for any iid pair, with the mode of the
     difference at zero; holds with no structural assumptions on x."""
-    diff = difference(x, x)
-    lhs = entropy.renyi(x, 2.0)
+    s = as_subject(x)
+    diff = s.self_difference
+    lhs = entropy.renyi(s.pmf, 2.0)
     rhs = entropy.renyi(diff, INF)
     err = abs(lhs - rhs)
     mode_slack = diff.pmf(0) - diff.max_weight  # zero when the mode sits at 0

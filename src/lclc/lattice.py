@@ -7,7 +7,9 @@ truncation of the two infinite parametric families (geometric and
 symmetric geometric) to finite support.
 
 All values are immutable after construction and safe to share across
-threads; the only caller-visible state is the sampling seed.
+threads; the only caller-visible state is the sampling seed. A Subject
+pairs a pmf with the facts derived from it, computed at most once for
+as long as the subject lives.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     BadLambdaError,
     BadToleranceError,
     BadWeightsError,
+    DomainError,
     NegativeWeightError,
 )
 
@@ -40,6 +43,14 @@ class Direction(Enum):
     DECREASING = "decreasing"
     BOTH = "both"  # constant on support, including point masses
     NEITHER = "neither"
+
+
+class Structure(Enum):
+    """The structural classes the bounds distinguish."""
+
+    MONOTONE = "monotone"
+    HALF_INTEGER_SYMMETRIC = "half_integer_symmetric"
+    INTEGER_SYMMETRIC = "integer_symmetric"
 
 
 class LawKind(Enum):
@@ -86,13 +97,7 @@ class LatticePMF:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, copy=True)
-        if w.ndim != 1 or w.size == 0:
-            raise BadWeightsError("weights must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(w)):
-            raise BadWeightsError("weights must be finite")
-        if np.any(w < 0.0):
-            raise NegativeWeightError("weights must be non-negative")
+        w = np.array(_checked_weights(self.weights), copy=True)
         if w[0] == 0.0 or w[-1] == 0.0:
             raise ValueError("weights must be trimmed: endpoints positive")
         w.flags.writeable = False
@@ -138,12 +143,9 @@ class LatticePMF:
         return LatticePMF(-(self.offset + len(self) - 1), self.weights[::-1])
 
 
-def normalize(weights, offset: int = 0) -> LatticePMF:
-    """Trim zero tails and scale the weights to total mass one.
-
-    Weights already summing to one within 1e-12 are kept as-is, which makes
-    normalize exactly idempotent.
-    """
+def _checked_weights(weights) -> np.ndarray:
+    """The weights as a float array: numbers, 1-D, non-empty, finite and
+    non-negative."""
     try:
         w = np.asarray(weights, dtype=np.float64)
     except (TypeError, ValueError):
@@ -154,9 +156,23 @@ def normalize(weights, offset: int = 0) -> LatticePMF:
         raise BadWeightsError("weights must be finite")
     if np.any(w < 0.0):
         raise NegativeWeightError("weights must be non-negative")
+    return w
+
+
+def normalize(weights, offset: int = 0) -> LatticePMF:
+    """Trim zero tails and scale the weights to total mass one.
+
+    Weights already summing to one within 1e-12 are kept as-is, which makes
+    normalize exactly idempotent.
+    """
+    w = _checked_weights(weights)
     if not np.any(w > 0.0):
         raise AllZeroError("all weights are zero")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not math.isfinite(total):  # finite weights whose sum overflows
+        w = w / w.max()
+        total = float(w.sum())
     if abs(total - 1.0) > _SUM_TOL:
         # divide before trimming: subnormal entries may underflow to zero
         w = w / total
@@ -212,6 +228,84 @@ def symmetry_center(x: LatticePMF, abs_tol: float = _SYMMETRY_TOL) -> float | No
     return x.offset + (len(w) - 1) / 2.0
 
 
+class Subject:
+    """A pmf and the facts the checks derive from it, each computed at most
+    once: the structural predicates, the law of X - Y for iid X, Y ~ x, and
+    what a check caches through fact(). Every fact depends only on the
+    multiset of masses or on the law of X - Y, so the subject of -X shares
+    all but the direction. A subject lives for one run or one check call;
+    the pmf stays a pure value."""
+
+    def __init__(self, pmf: LatticePMF):
+        self.pmf = pmf
+        self._facts: dict = {}
+
+    def fact(self, key, compute):
+        """compute() the first time key is asked for, the cached value after."""
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
+
+    @property
+    def log_concave(self) -> bool:
+        return self.fact("log_concave", lambda: is_log_concave(self.pmf))
+
+    @property
+    def direction(self) -> Direction:
+        return self.fact("direction", lambda: monotonicity(self.pmf))
+
+    @property
+    def symmetry(self) -> float | None:
+        return self.fact("symmetry", lambda: symmetry_center(self.pmf))
+
+    @property
+    def self_difference(self) -> LatticePMF:
+        return self.fact("difference", lambda: difference(self.pmf, self.pmf))
+
+    @property
+    def monotone(self) -> bool:
+        return self.direction is not Direction.NEITHER
+
+    @property
+    def integer_symmetric(self) -> bool:
+        return self.symmetry is not None and self.symmetry == int(self.symmetry)
+
+    @property
+    def half_integer_symmetric(self) -> bool:
+        return self.symmetry is not None and self.symmetry != int(self.symmetry)
+
+    @property
+    def structure(self) -> Structure | None:
+        """The first class x is in: monotone, half-integer-symmetric or
+        integer-symmetric, in that order; None if it is in none."""
+        if self.monotone:
+            return Structure.MONOTONE
+        if self.half_integer_symmetric:
+            return Structure.HALF_INTEGER_SYMMETRIC
+        if self.integer_symmetric:
+            return Structure.INTEGER_SYMMETRIC
+        return None
+
+    @property
+    def decreasing(self) -> "Subject":
+        """This subject when x is non-increasing, else the subject of -X,
+        made once and given the facts known so far."""
+        if self.direction is not Direction.INCREASING:
+            return self
+
+        def mirror() -> Subject:
+            m = Subject(self.pmf.reversed())
+            m._facts.update(self._facts, direction=Direction.DECREASING)
+            return m
+
+        return self.fact("decreasing", mirror)
+
+
+def as_subject(x) -> Subject:
+    """x when it is a Subject, else a fresh subject of the pmf x."""
+    return x if isinstance(x, Subject) else Subject(x)
+
+
 def mean_variance(x: LatticePMF) -> tuple[float, float]:
     """Exact finite-sum mean and variance."""
     idx = x.indices.astype(np.float64)
@@ -233,21 +327,17 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL,
         raise BadToleranceError(f"tail_tol must lie in (0, 1e-6], got {tail_tol}")
     lam = law.lam
     log_lam = math.log(lam)
-    if law.kind is LawKind.GEOMETRIC:
-        n_max = max(0, math.ceil(math.log(tail_tol) / log_lam) - 1)
-        while lam ** (n_max + 1) >= tail_tol:
-            n_max += 1
-        if n_max + 1 > max_support:
-            raise ValueError(f"truncation needs {n_max + 1} atoms, above max_support")
-        logw = np.arange(n_max + 1) * log_lam
-        return normalize((1.0 - lam) * np.exp(logw), 0)
-    # symmetric geometric
-    threshold = tail_tol * (1.0 + lam) / 2.0
+    geometric = law.kind is LawKind.GEOMETRIC
+    threshold = tail_tol if geometric else tail_tol * (1.0 + lam) / 2.0
     n_max = max(0, math.ceil(math.log(threshold) / log_lam) - 1)
     while lam ** (n_max + 1) >= threshold:
         n_max += 1
-    if 2 * n_max + 1 > max_support:
-        raise ValueError(f"truncation needs {2 * n_max + 1} atoms, above max_support")
+    atoms = n_max + 1 if geometric else 2 * n_max + 1
+    if atoms > max_support:
+        raise DomainError(f"truncation needs {atoms} atoms, above max_support")
+    if geometric:
+        logw = np.arange(n_max + 1) * log_lam
+        return normalize((1.0 - lam) * np.exp(logw), 0)
     logw = np.abs(np.arange(-n_max, n_max + 1)) * log_lam
     return normalize(np.exp(logw), -n_max)
 
@@ -292,7 +382,10 @@ def pmf_from_json(doc: dict, tail_tol: float = DEFAULT_TAIL_TOL) -> LatticePMF:
     if not isinstance(doc, dict):
         raise BadDocumentError("distribution document must be a JSON object")
     if "weights" in doc:
-        return normalize(doc["weights"], _integer_offset(doc.get("offset", 0)))
+        weights = doc["weights"]
+        if isinstance(weights, list) and any(isinstance(w, bool) for w in weights):
+            raise BadWeightsError("weights must be numbers, not booleans")
+        return normalize(weights, _integer_offset(doc.get("offset", 0)))
     if "law" in doc:
         try:
             kind = LawKind(doc["law"])

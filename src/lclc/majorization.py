@@ -6,7 +6,8 @@ The level-count function F_x(t) = #{i : x_i > t} of a probability sequence
 is itself a probability density on (0, inf); for a non-increasing
 log-concave x and a geometric comparator z the two step functions cross
 exactly twice, which is what drives the power-sum comparisons. Every
-integral here is evaluated segment-analytically, never by quadrature.
+integral here is evaluated segment-analytically, never by quadrature. The
+checks take a LatticePMF or a Subject, whose cached facts they read.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ from .errors import (
     NotMonotoneLogConcaveError,
     NotSymmetricError,
 )
-from .lattice import (
-    Direction,
-    LatticePMF,
-    LawKind,
-    ParametricLaw,
-    monotonicity,
-    symmetry_center,
-)
+from .lattice import Direction, LatticePMF, Subject, as_subject
 from .report import CheckReport, from_margin
 
 HINGE_TOL = 1e-10
@@ -47,10 +41,6 @@ class Interval:
 
     def __contains__(self, t: float) -> bool:
         return self.lo <= t < self.hi
-
-    @property
-    def empty(self) -> bool:
-        return not (self.lo < self.hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +205,11 @@ def level_count(x: LatticePMF) -> LevelCount:
     return _level_count_of(x.weights)
 
 
+def _levels(s: Subject) -> LevelCount:
+    """level_count of the subject's pmf, computed once per subject."""
+    return s.fact("level_count", lambda: level_count(s.pmf))
+
+
 def power_transform_density(d, p: float) -> PowerDensity:
     """Density descriptor of U**p for U drawn from d (step or power)."""
     return d.power(p)
@@ -276,12 +271,6 @@ class GeometricSequence:
             todo = todo[m[todo] > 0]
         return int(m[0]) if t.ndim == 0 else m.reshape(t.shape)
 
-    @classmethod
-    def from_law(cls, law: ParametricLaw) -> "GeometricSequence":
-        if law.kind is not LawKind.GEOMETRIC:
-            raise ValueError("comparator must be a geometric law")
-        return cls(1.0 - law.lam, law.lam)
-
 
 @dataclass(frozen=True)
 class CrossingResult:
@@ -299,12 +288,7 @@ class CrossingResult:
     b_at_horizon: bool
 
 
-def _require_decreasing(x: LatticePMF) -> None:
-    if monotonicity(x) not in (Direction.DECREASING, Direction.BOTH):
-        raise NotMonotoneLogConcaveError("crossing requires a non-increasing pmf")
-
-
-def crossing_interval(x: LatticePMF, z: GeometricSequence) -> CrossingResult:
+def crossing_interval(x, z: GeometricSequence) -> CrossingResult:
     """Locate the threshold interval on which F_z sits below F_x.
 
     With a = min{k : x_k >= z_k} and b = max{k : x_k >= z_k} (k counted from
@@ -313,8 +297,10 @@ def crossing_interval(x: LatticePMF, z: GeometricSequence) -> CrossingResult:
     log-concave as well as non-increasing; only monotonicity is enforced
     here. Raises NoCrossingError when the comparator dominates x everywhere.
     """
-    _require_decreasing(x)
-    w = x.weights
+    s = as_subject(x)
+    if s.direction not in (Direction.DECREASING, Direction.BOTH):
+        raise NotMonotoneLogConcaveError("crossing requires a non-increasing pmf")
+    w = s.pmf.weights
     zv = z.value(np.arange(len(w)))
     above = np.flatnonzero(w >= zv)
     if above.size == 0:
@@ -324,8 +310,7 @@ def crossing_interval(x: LatticePMF, z: GeometricSequence) -> CrossingResult:
     return CrossingResult(a, b, interval, b == len(w) - 1)
 
 
-def crossing_verify(x: LatticePMF, z: GeometricSequence,
-                    n_samples: int = 0) -> CheckReport:
+def crossing_verify(x, z: GeometricSequence, n_samples: int = 0) -> CheckReport:
     """Confirm the two-crossing sign pattern of F_z against F_x.
 
     Evaluates both step functions at every breakpoint of either function
@@ -334,10 +319,11 @@ def crossing_verify(x: LatticePMF, z: GeometricSequence,
     thresholds. The margin is the worst signed slack in level counts; a
     failure indicates a library defect rather than a mathematical one.
     """
-    result = crossing_interval(x, z)
+    s = as_subject(x)
+    result = crossing_interval(s, z)
     interval = result.interval
-    w = x.weights
-    f_x = level_count(x)
+    w = s.pmf.weights
+    f_x = _levels(s)
 
     lowest = max(min(float(w[w > 0].min()), interval.lo) / 4.0, 1e-300)
     ks = np.arange(0, max(len(w) + 8, result.last_index + 8))
@@ -368,7 +354,7 @@ def crossing_verify(x: LatticePMF, z: GeometricSequence,
 # Layer cake, symmetric folding, convex order.
 # ---------------------------------------------------------------------------
 
-def cake_layer_check(x: LatticePMF, t: float) -> CheckReport:
+def cake_layer_check(x, t: float) -> CheckReport:
     """Layer-cake identity: sum_i x_i**t = t * int_0^inf s**(t-1) F_x(s) ds.
 
     The right side is summed in closed form over the step segments, so the
@@ -376,8 +362,9 @@ def cake_layer_check(x: LatticePMF, t: float) -> CheckReport:
     """
     if not t >= 1.0:
         raise ValueError(f"layer-cake check requires t >= 1, got {t}")
-    lhs = power_sum(x, t)
-    rhs = sum(c * (hi**t - lo**t) for lo, hi, c in level_count(x).segments())
+    s = as_subject(x)
+    lhs = power_sum(s.pmf, t)
+    rhs = sum(c * (hi**t - lo**t) for lo, hi, c in _levels(s).segments())
     err = abs(lhs - rhs)
     tol = 1e-12 * max(1.0, lhs)
     return from_margin("cake_layer", lhs, rhs, tol - err, 0.0,
@@ -399,16 +386,17 @@ class SymmetricFold:
     max_violation: int
 
 
-def fold_symmetric(x: LatticePMF) -> SymmetricFold:
+def fold_symmetric(x) -> SymmetricFold:
     """Fold an integer-symmetric pmf onto the half line and verify the
     identity relating the two level counts below the central mass."""
-    center = symmetry_center(x)
-    if center is None or center != int(center):
+    s = as_subject(x)
+    if not s.integer_symmetric:
         raise NotSymmetricError("requires a pmf symmetric about an integer")
-    center_idx = int(center) - x.offset
-    center_mass = float(x.weights[center_idx])
-    full = level_count(x)
-    half = _level_count_of(x.weights[center_idx:])
+    w = s.pmf.weights
+    center_idx = int(s.symmetry) - s.pmf.offset
+    center_mass = float(w[center_idx])
+    full = _levels(s)
+    half = _level_count_of(w[center_idx:])
 
     points = np.concatenate((full.breakpoints, half.breakpoints))
     points = np.unique(points[points > 0.0])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import entropy
 from .errors import BadOrdersError, DiracInputError, NoBracketError, UnclassifiedError
-from .lattice import Direction, LatticePMF, is_log_concave, monotonicity, symmetry_center
+from .lattice import LatticePMF, Structure, as_subject
 from .optimize import bisect_root
 from .report import CheckReport
 
@@ -30,14 +30,12 @@ class MatchResult:
     iterations: int
 
 
-def _check_match_order(p: float) -> float:
+def _solve(log_psi, x: LatticePMF, p: float) -> MatchResult:
     p = float(p)
     if not p > 0.0 or p == 1.0 or math.isinf(p):
         raise BadOrdersError(f"matching order must be finite, positive and != 1, got {p}")
-    return p
-
-
-def _solve(log_psi, x: LatticePMF, p: float) -> MatchResult:
+    if x.support_size == 1:
+        raise DiracInputError("cannot match a point mass with an open-parameter law")
     log_target = entropy.log_power_sum(x, p)
     root, iterations = bisect_root(lambda lam: log_psi(lam, p) - log_target,
                                    _BRACKET_LO, _BRACKET_HI,
@@ -57,50 +55,53 @@ def match_geometric(x: LatticePMF, p: float) -> MatchResult:
     non-Dirac pmf, so a root always brackets; for p in (0, 1) the bracket
     orientation reverses and is detected at runtime.
     """
-    p = _check_match_order(p)
-    if x.support_size == 1:
-        raise DiracInputError("cannot match a point mass with an open-parameter law")
     return _solve(entropy.log_power_sum_geometric, x, p)
 
 
 def match_symmetric_geometric(x: LatticePMF, p: float) -> MatchResult:
     """Find lam matching the symmetric-geometric p-th power sum to x's."""
-    p = _check_match_order(p)
-    if x.support_size == 1:
-        raise DiracInputError("cannot match a point mass with an open-parameter law")
     return _solve(entropy.log_power_sum_symmetric_geometric, x, p)
 
 
-def renyi_dominance_report(x: LatticePMF, p: float,
-                           q_grid=DEFAULT_Q_GRID) -> CheckReport:
-    """Match a comparator at order p and check the dominance sign pattern.
+def match_comparator(x, p: float) -> tuple[str, MatchResult]:
+    """The comparator family of x's structure and its match at order p.
 
     Monotone pmfs are matched against the geometric family,
-    integer-symmetric pmfs against the symmetric-geometric family. For
+    integer-symmetric pmfs against the symmetric-geometric family; any
+    other raises UnclassifiedError. x is a LatticePMF or a Subject, and a
+    subject solves each order once.
+    """
+    s = as_subject(x)
+
+    def solve() -> tuple[str, MatchResult]:
+        if s.structure is Structure.MONOTONE:
+            return "geometric", match_geometric(s.pmf, p)
+        if s.structure is Structure.INTEGER_SYMMETRIC:
+            return "symmetric_geometric", match_symmetric_geometric(s.pmf, p)
+        raise UnclassifiedError("matching needs a monotone or integer-symmetric pmf")
+
+    return s.fact(("match", p), solve)
+
+
+def renyi_dominance_report(x, p: float, q_grid=DEFAULT_Q_GRID) -> CheckReport:
+    """Match a comparator at order p and check the dominance sign pattern.
+
+    x is a LatticePMF or a Subject, matched as match_comparator() does. For
     every q in the grid the margin is oriented so that H_q(X) >= H_q(Z) is
     expected at q >= p and H_q(X) <= H_q(Z) at q <= p; pass means every
     margin is above -1e-9. The dominance pattern is only guaranteed for
     log-concave input; the report notes when that hypothesis fails instead
     of refusing to evaluate.
     """
-    center = symmetry_center(x)
-    if monotonicity(x) is not Direction.NEITHER:
-        match = match_geometric(x, p)
-        comparator_entropy = entropy.renyi_geometric
-        branch = "geometric"
-    elif center is not None and center == int(center):
-        match = match_symmetric_geometric(x, p)
-        comparator_entropy = entropy.renyi_symmetric_geometric
-        branch = "symmetric_geometric"
-    else:
-        raise UnclassifiedError(
-            "dominance comparison requires a monotone or integer-symmetric pmf")
-
+    s = as_subject(x)
+    branch, match = match_comparator(s, p)
+    comparator_entropy = (entropy.renyi_geometric if branch == "geometric"
+                          else entropy.renyi_symmetric_geometric)
     margins = []
     worst = math.inf
     worst_pair = (math.nan, math.nan)
     for q in q_grid:
-        h_x = entropy.renyi(x, q)
+        h_x = entropy.renyi(s.pmf, q)
         h_z = comparator_entropy(match.lam, q)
         margin = (h_x - h_z) if q >= p else (h_z - h_x)
         margins.append(margin)
@@ -111,6 +112,6 @@ def renyi_dominance_report(x: LatticePMF, p: float,
               "residual": match.residual,
               "q_grid": [float(q) for q in q_grid],
               "margins": margins,
-              "log_concave": is_log_concave(x)}
+              "log_concave": s.log_concave}
     return CheckReport("renyi_dominance", worst_pair[0], worst_pair[1],
                        float(worst), verdict, params)

@@ -1,10 +1,12 @@
 import io
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
-from lclc.cli import RunConfig, classify, main, run
+from lclc.cli import DEFAULT_T_GRID, RunConfig, classify, main, run
 from lclc.lattice import Direction, materialize, normalize, ParametricLaw
 
 
@@ -84,8 +86,8 @@ class TestVerifyCommand:
 
     def test_deterministic_output(self, tmp_path):
         path = _write_dist(tmp_path, {"law": "symmetric_geometric", "lambda": 0.4})
-        _, first = _run(["verify", "--input", path, "--seed", "7"], tmp_path)
-        _, second = _run(["verify", "--input", path, "--seed", "7"], tmp_path)
+        _, first = _run(["verify", "--input", path], tmp_path)
+        _, second = _run(["verify", "--input", path], tmp_path)
         assert first == second
 
 
@@ -172,6 +174,12 @@ MALFORMED = [
 _LAW_ARGV = ["--law", "geometric", "--lambda", "0.5"]
 _LAW_PARAMS = {"law": "geometric", "lam": 0.5}
 
+MALFORMED += [
+    ("boolean_weights", "verify", {"offset": 0, "weights": [True, False]}, [], {}),
+    ("support_above_limit", "verify", None, ["--law", "geometric", "--lambda", "0.999999"],
+     {"law": "geometric", "lam": 0.999999}),
+]
+
 # a zero the user passes is used, never replaced by the flag's default, so
 # each of these is refused downstream
 for _command, _flag, _key in (("verify", "--p", "p"), ("verify", "--q", "q"),
@@ -181,6 +189,14 @@ for _command, _flag, _key in (("verify", "--p", "p"), ("verify", "--q", "q"),
                               ("epi", "--alpha", "alpha")):
     MALFORMED.append((f"{_command}_{_key}_zero", _command, None,
                       _LAW_ARGV + [_flag, "0"], {**_LAW_PARAMS, _key: 0.0}))
+
+# a single-check subcommand refuses an order its check does not cover
+for _command, _flag, _text, _value in (("match", "--p", "1", 1.0),
+                                       ("crossing", "--p", "inf", math.inf),
+                                       ("epi", "--alpha", "1", 1.0)):
+    MALFORMED.append((f"{_command}_{_flag[2:]}_{_text}", _command, None,
+                      _LAW_ARGV + [_flag, _text],
+                      {**_LAW_PARAMS, _flag[2:]: _value}))
 
 
 def _assert_usage_error(code, capsys):
@@ -240,3 +256,234 @@ class TestUsageErrors:
         stream = io.StringIO()
         assert run(config, stream) == 0
         assert "violated" in stream.getvalue()
+
+
+def _rows(argv, capsys):
+    """Exit code and (check_name, verdict, n/a reason) per row of one run."""
+    code = main(argv + ["--format", "json"])
+    out, _ = capsys.readouterr()
+    if code == 2:
+        return code, []
+    return code, [(r["check_name"], r["verdict"],
+                   r["params"]["reason"] if r["verdict"] == "n/a" else None)
+                  for r in json.loads(out)]
+
+
+class TestPerCheckOrders:
+    """A positive order one check does not cover marks only that check's
+    rows n/a, with the check's own reason."""
+
+    @pytest.mark.parametrize("law", ["geometric", "symmetric_geometric"])
+    @pytest.mark.parametrize("p", ["1", "inf"])
+    def test_match_order(self, capsys, law, p):
+        argv = ["verify", "--law", law, "--lambda", "0.5"]
+        _, default = _rows(argv, capsys)
+        code, rows = _rows(argv + ["--p", p], capsys)
+        assert code == 0
+        reason = f"matching order must be finite, positive and != 1, got {float(p)}"
+        matching = ("match_lambda", "crossing_pattern", "renyi_dominance")
+        start = [r[0] for r in default].index("match_lambda")
+        assert [r[0] for r in default[start:]][-1] == "renyi_dominance"
+        assert all(r[0] in matching for r in default[start:])
+        assert rows[start:] == [("renyi_dominance", "n/a", reason)]
+        unchanged = [r for r in rows[:start] if r[0] != "renyi_gap"]
+        assert unchanged == [r for r in default[:start] if r[0] != "renyi_gap"]
+        gap = [r for r in rows if r[0] == "renyi_gap"]
+        if law == "symmetric_geometric":
+            assert gap == [("renyi_gap", "n/a", "asserted for monotone pmfs")]
+        elif p == "1":
+            assert gap == [("renyi_gap", "n/a", "needs p > q, got p=1.0, q=1.0")]
+        else:
+            assert gap == [("renyi_gap", "pass", None)]
+
+    def test_epi_order(self, capsys):
+        _, default = _rows(["verify"] + _LAW_ARGV, capsys)
+        code, rows = _rows(["verify"] + _LAW_ARGV + ["--alpha", "1.5"], capsys)
+        assert code == 0
+        reason = "the reversal is asserted for alpha >= 2, got 1.5"
+        assert rows == [("epi_reversal", "n/a", reason) if r[0] == "epi_reversal"
+                        else r for r in default]
+        assert ("epi_reversal", "pass", None) in default
+
+
+# Row contract: exit code and (check_name, verdict, n/a reason) rows of
+# verify and of every subcommand that reads a pmf, one structural class per
+# test. The expectations follow from each check's hypotheses.
+LC_CLASSIFIED = "requires monotone or symmetric log-concave"
+LC_MONOTONE = "requires monotone log-concave"
+PHI_CLASS = "asserted for monotone or half-integer-symmetric pmfs"
+MONOTONE_ONLY = "asserted for monotone pmfs"
+UNCLASSIFIED = "pmf is neither monotone nor symmetric"
+NOT_MATCHABLE = "needs a monotone or integer-symmetric pmf"
+
+HEAD = [("classification", "info", None), ("h2_hinf_identity", "pass", None),
+        ("cake_layer", "pass", None)]
+CONCENTRATION = [(f"concentration_{side}", "pass", None)
+                 for _ in DEFAULT_T_GRID for side in ("upper", "lower")]
+PHI = [("phi", "info", None)] * len(DEFAULT_T_GRID)
+ENTROPY = [("shannon_entropy", "info", None), ("min_entropy", "info", None),
+           ("varentropy", "info", None)]
+PASS = {name: (name, "pass", None) for name in (
+    "mean_mode", "phi_concavity", "varentropy_bound", "renyi_gap", "epi_reversal",
+    "crossing_pattern", "renyi_dominance")}
+REFUSED = (2, [])
+
+
+def _na(name, reason):
+    return (name, "n/a", reason)
+
+
+def _monotone_contract():
+    match = ("match_lambda", "info", None)
+    return {
+        "verify": (0, HEAD + [PASS["mean_mode"], PASS["phi_concavity"],
+                              PASS["varentropy_bound"]] + CONCENTRATION
+                   + [PASS["renyi_gap"], PASS["epi_reversal"], match,
+                      PASS["crossing_pattern"], PASS["renyi_dominance"]]),
+        "entropy": (0, ENTROPY),
+        "varentropy": (0, [("varentropy", "info", None), PASS["varentropy_bound"]]),
+        "phi": (0, PHI + [PASS["phi_concavity"]]),
+        "crossing": (0, [match, ("crossing_interval_lo", "info", None),
+                         PASS["crossing_pattern"]]),
+        "match": (0, [match]),
+        "concentration": (0, CONCENTRATION),
+        "epi": (0, [PASS["epi_reversal"]]),
+    }
+
+
+ROW_CONTRACT = {
+    "decreasing": ({"offset": 0, "weights": [0.5, 0.3, 0.15, 0.05]},
+                   _monotone_contract()),
+    "increasing": ({"offset": 3, "weights": [0.05, 0.15, 0.3, 0.5]},
+                   _monotone_contract()),
+    "integer_symmetric": ({"offset": -2, "weights": [0.05, 0.2, 0.5, 0.2, 0.05]}, {
+        "verify": (0, HEAD + [PASS["mean_mode"], _na("phi_concavity", PHI_CLASS),
+                              PASS["varentropy_bound"]] + CONCENTRATION
+                   + [_na("renyi_gap", MONOTONE_ONLY), _na("epi_reversal", MONOTONE_ONLY),
+                      ("match_lambda", "info", None), PASS["renyi_dominance"]]),
+        "entropy": (0, ENTROPY),
+        "varentropy": (0, [("varentropy", "info", None), PASS["varentropy_bound"]]),
+        "phi": (0, PHI),
+        "crossing": REFUSED,
+        "match": (0, [("match_lambda", "info", None)]),
+        "concentration": (0, CONCENTRATION),
+        "epi": REFUSED,
+    }),
+    "half_integer_symmetric": ({"offset": -1, "weights": [0.1, 0.4, 0.4, 0.1]}, {
+        "verify": (0, HEAD + [PASS["mean_mode"], PASS["phi_concavity"],
+                              PASS["varentropy_bound"]] + CONCENTRATION
+                   + [_na("renyi_gap", MONOTONE_ONLY), _na("epi_reversal", MONOTONE_ONLY),
+                      _na("renyi_dominance", NOT_MATCHABLE)]),
+        "entropy": (0, ENTROPY),
+        "varentropy": (0, [("varentropy", "info", None), PASS["varentropy_bound"]]),
+        "phi": (0, PHI + [PASS["phi_concavity"]]),
+        "crossing": REFUSED,
+        "match": REFUSED,
+        "concentration": (0, CONCENTRATION),
+        "epi": REFUSED,
+    }),
+    "asymmetric_log_concave": ({"offset": 1, "weights": [0.1, 0.4, 0.3, 0.15, 0.05]}, {
+        "verify": (0, HEAD + [PASS["mean_mode"], _na("phi_concavity", PHI_CLASS),
+                              _na("varentropy_bound", UNCLASSIFIED),
+                              _na("concentration", UNCLASSIFIED),
+                              _na("renyi_gap", MONOTONE_ONLY),
+                              _na("epi_reversal", MONOTONE_ONLY),
+                              _na("renyi_dominance", NOT_MATCHABLE)]),
+        "entropy": (0, ENTROPY),
+        "varentropy": (0, [("varentropy", "info", None),
+                           _na("varentropy_bound", UNCLASSIFIED)]),
+        "phi": (0, PHI),
+        "crossing": REFUSED,
+        "match": REFUSED,
+        "concentration": REFUSED,
+        "epi": REFUSED,
+    }),
+    # renyi_gap comes before concentration here, after it when log-concave
+    "non_log_concave": ({"offset": 0, "weights": [0.4, 0.1, 0.3, 0.2]}, {
+        "verify": (0, HEAD + [_na("mean_mode", "requires a log-concave pmf"),
+                              _na("phi_concavity", LC_CLASSIFIED),
+                              _na("varentropy_bound", LC_CLASSIFIED),
+                              _na("renyi_gap", LC_MONOTONE),
+                              _na("concentration", LC_CLASSIFIED),
+                              _na("epi_reversal", LC_MONOTONE),
+                              _na("renyi_dominance", LC_CLASSIFIED)]),
+        "entropy": (0, ENTROPY),
+        "varentropy": (0, [("varentropy", "info", None),
+                           _na("varentropy_bound", "varentropy bounds need a log-concave pmf")]),
+        "phi": (0, PHI),
+        "crossing": REFUSED,
+        "match": REFUSED,
+        "concentration": REFUSED,
+        "epi": REFUSED,
+    }),
+    # monotone, log-concave and symmetric, but no comparator matches it
+    "point_mass": ({"offset": 4, "weights": [1.0]}, {
+        "verify": (0, HEAD + [PASS["mean_mode"], PASS["phi_concavity"],
+                              PASS["varentropy_bound"]] + CONCENTRATION
+                   + [PASS["renyi_gap"], PASS["epi_reversal"],
+                      _na("renyi_dominance", "matching needs a non-degenerate pmf")]),
+        "entropy": (0, ENTROPY),
+        "varentropy": (0, [("varentropy", "info", None), PASS["varentropy_bound"]]),
+        "phi": (0, PHI + [PASS["phi_concavity"]]),
+        "crossing": REFUSED,
+        "match": REFUSED,
+        "concentration": (0, CONCENTRATION),
+        "epi": (0, [PASS["epi_reversal"]]),
+    }),
+}
+
+
+@pytest.mark.parametrize("klass", ROW_CONTRACT)
+def test_row_contract(tmp_path, capsys, klass):
+    doc, contract = ROW_CONTRACT[klass]
+    path = _write_dist(tmp_path, doc)
+    for command, expected in contract.items():
+        code, rows = _rows([command, "--input", path], capsys)
+        assert (code, rows) == expected, command
+
+
+# (module, function) pairs whose calls one verify must make exactly once
+COUNTED = (("lattice", "is_log_concave"), ("lattice", "monotonicity"),
+           ("lattice", "symmetry_center"), ("lattice", "difference"),
+           ("majorization", "level_count"), ("matching", "match_geometric"),
+           ("matching", "match_symmetric_geometric"))
+
+
+def _count_calls(monkeypatch):
+    """Rebind every lclc module's binding of each COUNTED function to a
+    counting wrapper, as perfbench's tracer does; returns the counts."""
+    counts = {}
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "lclc" or name.startswith("lclc."))]
+    for module_name, name in COUNTED:
+        original = getattr(sys.modules[f"lclc.{module_name}"], name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("source, family", [
+    ({"law": "geometric", "lam": 0.999}, "match_geometric"),
+    ({"law": "symmetric_geometric", "lam": 0.999}, "match_symmetric_geometric"),
+    ("increasing", "match_geometric"),
+])
+def test_verify_decides_each_fact_once(tmp_path, monkeypatch, source, family):
+    if source == "increasing":
+        weights = (0.99 ** np.arange(2000.0))[::-1].tolist()
+        config = RunConfig("verify", input_path=_write_dist(
+            tmp_path, {"offset": 0, "weights": weights}))
+    else:
+        config = RunConfig("verify", parameters=source)
+    counts = _count_calls(monkeypatch)
+    assert run(config, io.StringIO()) == 0
+    expected = {name: 1 for _, name in COUNTED}
+    expected[({"match_geometric", "match_symmetric_geometric"} - {family}).pop()] = 0
+    assert counts == expected

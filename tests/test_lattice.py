@@ -9,13 +9,18 @@ from lclc.errors import (
     AllZeroError,
     BadLambdaError,
     BadToleranceError,
+    BadWeightsError,
+    DomainError,
     NegativeWeightError,
 )
 from lclc.lattice import (
     Direction,
     LatticePMF,
     ParametricLaw,
+    Structure,
+    Subject,
     _fft_convolve,
+    as_subject,
     difference,
     is_log_concave,
     materialize,
@@ -65,6 +70,15 @@ class TestNormalize:
             normalize([1.0, math.inf])
         with pytest.raises(ValueError):
             normalize([1.0, math.nan])
+
+    def test_overflowing_sum_is_rescaled_first(self):
+        # each weight is finite but their sum is not; dividing by it would
+        # send every weight to zero
+        x = normalize([1e308, 1e308], 3)
+        assert x.offset == 3
+        np.testing.assert_array_equal(x.weights, [0.5, 0.5])
+        np.testing.assert_array_equal(normalize([1e308, 5e307, 1e308]).weights,
+                                      [0.4, 0.2, 0.4])
 
     @settings(max_examples=80, deadline=None)
     @given(pmfs())
@@ -137,6 +151,12 @@ class TestMaterialize:
         for tol in (0.0, -1e-9, 1e-3):
             with pytest.raises(BadToleranceError):
                 materialize(ParametricLaw.geometric(0.5), tol)
+
+    def test_support_above_limit_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="34538760 atoms"):
+            materialize(ParametricLaw.geometric(0.999999))
+        with pytest.raises(DomainError):
+            materialize(ParametricLaw.symmetric_geometric(0.5), max_support=100)
 
     def test_bad_lambda(self):
         for lam in (0.0, 1.0, -0.2, 1.5):
@@ -240,6 +260,48 @@ class TestJsonInput:
     def test_rejects_missing_fields(self):
         with pytest.raises(ValueError):
             pmf_from_json({"law": "geometric"})
+
+    def test_rejects_boolean_weights(self):
+        for weights in ([True, False], [0.5, True]):
+            with pytest.raises(BadWeightsError):
+                pmf_from_json({"weights": weights})
+
+
+class TestSubject:
+    def test_structure_ladder(self):
+        # monotone comes first: the fair coin is also half-integer-symmetric
+        cases = [([1, 1], Structure.MONOTONE), ([5, 3, 2], Structure.MONOTONE),
+                 ([1, 3, 3, 1], Structure.HALF_INTEGER_SYMMETRIC),
+                 ([2, 6, 2], Structure.INTEGER_SYMMETRIC), ([1, 4, 2], None)]
+        for weights, structure in cases:
+            assert Subject(normalize(weights)).structure is structure, weights
+
+    def test_coercion(self):
+        x = normalize([5, 3, 2])
+        s = as_subject(x)
+        assert s.pmf is x and as_subject(s) is s
+        assert as_subject(x) is not s  # a plain pmf gets a fresh subject
+
+    def test_facts_are_computed_once(self):
+        s = Subject(normalize([5, 3, 2]))
+        calls = []
+        assert s.fact("k", lambda: calls.append(1) or 7) == 7
+        assert s.fact("k", lambda: calls.append(1) or 8) == 7
+        assert calls == [1]
+        assert s.self_difference is s.self_difference
+
+    def test_decreasing_orientation(self):
+        dec = Subject(normalize([5, 3, 2]))
+        assert dec.decreasing is dec
+        inc = Subject(normalize([2, 3, 4], 4))
+        assert inc.log_concave
+        mirror = inc.decreasing
+        assert mirror is inc.decreasing
+        assert mirror.pmf.offset == -6
+        np.testing.assert_array_equal(mirror.pmf.weights, inc.pmf.weights[::-1])
+        assert mirror.direction is Direction.DECREASING
+        assert mirror.direction is monotonicity(mirror.pmf)
+        assert mirror.log_concave and inc.direction is Direction.INCREASING
         with pytest.raises(ValueError):
             pmf_from_json({"offset": 0})
 
