@@ -116,7 +116,7 @@ def _concavity(s: Subject, params) -> list[CheckReport]:
 
 def _concentration(s: Subject, params) -> list[CheckReport]:
     K = inequalities.class_constant(s)
-    return [inequalities.check_concentration(s.pmf, float(t), side, K)
+    return [inequalities.check_concentration(s, float(t), side, K)
             for t in _t_grid_param(params) for side in inequalities.Side]
 
 
@@ -370,9 +370,6 @@ def _emit(rows: list[CheckReport], config: RunConfig, stream: TextIO) -> None:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
-def _float_or_inf(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
-
 def _t_grid(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -393,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--law", choices=("geometric", "symmetric_geometric"),
                        default=None)
         p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--p", type=_float_or_inf, default=None)
-        p.add_argument("--q", type=_float_or_inf, default=None)
-        p.add_argument("--alpha", type=_float_or_inf, default=None)
+        p.add_argument("--p", type=float, default=None)
+        p.add_argument("--q", type=float, default=None)
+        p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--t-grid", dest="t_grid", type=_t_grid, default=None)
         p.add_argument("--which", choices=("vs", "gap", "c"), default=None)

@@ -43,8 +43,6 @@ def log_power_sum_of_logs(log_w: np.ndarray, t: float) -> float:
 
 def power_sum(x: LatticePMF, t: float) -> float:
     """S_t = sum_i x_i**t over the support, t > 0."""
-    if not t > 0.0:
-        raise ValueError(f"power-sum exponent must be positive, got {t}")
     return math.exp(log_power_sum(x, t))
 
 

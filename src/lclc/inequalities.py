@@ -44,6 +44,8 @@ def _log_c(alpha: float) -> float:
         return 1.0
     if math.isinf(alpha):
         return 0.0
+    if alpha - 1.0 == -1.0:  # alpha below 2**-53, where log1p would see -1
+        return -math.log(alpha)
     return math.log1p(alpha - 1.0) / (alpha - 1.0)
 
 
@@ -187,25 +189,31 @@ def concentration_bound(t: float, K: float, side) -> float:
     return 0.0 if math.isinf(r) else math.exp(-K * r)
 
 
-def empirical_tail(x: LatticePMF, t: float, side) -> float:
+def _information_content(x: LatticePMF) -> tuple[np.ndarray, np.ndarray, float]:
+    """The positive masses w, their information content -log w and H."""
+    w = x.positive_weights()
+    info = -np.log(w)
+    return w, info, float(np.dot(w, info))
+
+
+def empirical_tail(x, t: float, side) -> float:
     """Exact tail mass of the information content around the entropy.
 
     Upper: P(-log f(X) >= H + t). Lower: P(-log f(X) <= H - t).
     """
     if not t >= 0.0:
         raise ValueError(f"deviation t must be non-negative, got {t}")
-    w = x.positive_weights()
-    info = -np.log(w)
-    h = float(np.dot(w, info))
+    s = as_subject(x)
+    w, info, h = s.fact("information", lambda: _information_content(s.pmf))
     if _as_side(side) is Side.UPPER:
         return float(w[info >= h + t].sum())
     return float(w[info <= h - t].sum())
 
 
-def check_concentration(x: LatticePMF, t: float, side, K: float = 1.0) -> CheckReport:
+def check_concentration(x, t: float, side, K: float = 1.0) -> CheckReport:
     """Exact tail against the rate bound with the given constant."""
     side = _as_side(side)
-    tail = empirical_tail(x, t, side)
+    tail = empirical_tail(as_subject(x), t, side)
     bound = concentration_bound(t, K, side)
     return from_margin(f"concentration_{side.value}", tail, bound, bound - tail,
                        1e-12, {"t": t, "K": K})

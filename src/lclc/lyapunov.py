@@ -17,15 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import log_power_sum_of_logs
-from .errors import DomainError
-from .lattice import LatticePMF, normalize
+from .entropy import log_power_sum_geometric, log_power_sum_of_logs
+from .errors import AllZeroError, DomainError
+from .lattice import LatticePMF, _checked_weights, normalize
 from .report import CheckReport
 
 DEFAULT_T_MIN = 0.05
 DEFAULT_T_MAX = 40.0
 DEFAULT_N_POINTS = 256
 CONCAVITY_TOL = 1e-9
+_BLOCK_ELEMENTS = 1 << 20  # grid rows x atoms per block of _phi_on_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,15 +50,10 @@ class ConcavityReport:
 
 def _log_values(x) -> np.ndarray:
     """Log of the positive entries of a pmf or raw non-negative sequence."""
-    if isinstance(x, LatticePMF):
-        return np.log(x.positive_weights())
-    w = np.asarray(x, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise ValueError("expected a finite non-negative 1-D sequence")
-    w = w[w > 0.0]
-    if w.size == 0:
-        raise ValueError("all entries are zero")
-    return np.log(w)
+    w = x.weights if isinstance(x, LatticePMF) else _checked_weights(x)
+    if not np.any(w > 0.0):
+        raise AllZeroError("all entries are zero")
+    return np.log(w[w > 0.0])
 
 
 def phi(x, t: float) -> float:
@@ -66,9 +62,7 @@ def phi(x, t: float) -> float:
     Accepts a LatticePMF or any non-negative sequence; the sequence need
     not be normalized (phi_{c x}(t) = phi_x(t) + t log c).
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    return math.log(t) + log_power_sum_of_logs(_log_values(x), t)
+    return float(_phi_on_grid(_log_values(x), np.array([t], dtype=np.float64))[0][0])
 
 
 def phi_second_derivative(x, t: float) -> float:
@@ -78,23 +72,14 @@ def phi_second_derivative(x, t: float) -> float:
     Var_{w(t)}(log x) - 1/t**2, which is the standard ratio-of-sums
     expression rearranged into a numerically stable two-pass form.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    logs = _log_values(x)
-    s = t * logs
-    w = np.exp(s - s.max())
-    w /= w.sum()
-    mean = float(np.dot(w, logs))
-    var = float(np.dot(w, (logs - mean) ** 2))
-    return var - 1.0 / (t * t)
+    return float(_phi_on_grid(_log_values(x), np.array([t], dtype=np.float64))[1][0])
 
 
 def phi_geometric(lam: float, t: float) -> float:
     """Closed form for the geometric law: log t + t log(1-lam) - log(1-lam**t)."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    return (math.log(t) + t * math.log1p(-lam)
-            - math.log(-math.expm1(t * math.log(lam))))
+    return math.log(t) + log_power_sum_geometric(lam, t)
 
 
 def phi_geometric_second_derivative(lam: float, t: float) -> float:
@@ -107,15 +92,24 @@ def phi_geometric_second_derivative(lam: float, t: float) -> float:
 
 
 def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (phi, phi'') over a grid of exponents."""
-    s = ts[:, None] * logs[None, :]
-    m = s.max(axis=1, keepdims=True)
-    w = np.exp(s - m)
-    totals = w.sum(axis=1)
-    phi_vals = np.log(ts) + m[:, 0] + np.log(totals)
-    w /= totals[:, None]
-    means = w @ logs
-    var = np.einsum("ij,ij->i", w, (logs[None, :] - means[:, None]) ** 2)
+    """(phi, phi'') at each exponent t > 0 in ts, from the log-masses logs,
+    in blocks of about _BLOCK_ELEMENTS entries, so memory stays bounded."""
+    if not np.all(ts > 0.0):
+        raise ValueError(f"t must be positive, got {ts.min()}")
+    phi_vals, var = np.empty(ts.size), np.empty(ts.size)
+    height = max(1, _BLOCK_ELEMENTS // logs.size)
+    for i in range(0, ts.size, height):
+        rows = slice(i, i + height)
+        s = ts[rows, None] * logs
+        m = s.max(axis=1, keepdims=True)
+        w = np.exp(s - m, out=s)
+        totals = w.sum(axis=1, keepdims=True)
+        phi_vals[rows] = np.log(ts[rows]) + m[:, 0] + np.log(totals[:, 0])
+        w /= totals
+        # row sums, not w @ logs or einsum: those pick their kernel by the
+        # block's shape, so a row's bits would depend on the block height
+        means = (w * logs).sum(axis=1, keepdims=True)
+        var[rows] = (w * (logs - means) ** 2).sum(axis=1)
     return phi_vals, var - 1.0 / ts**2
 
 
@@ -134,9 +128,8 @@ def check_concavity(x, t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MA
         raise ValueError("need 0 < t_min < t_max")
     if n_points < 3:
         raise ValueError("need at least 3 grid points")
-    logs = _log_values(x)
     ts = np.geomspace(t_min, t_max, n_points)
-    phi_vals, phi2_vals = _phi_on_grid(logs, ts)
+    phi_vals, phi2_vals = _phi_on_grid(_log_values(x), ts)
 
     lo, mid, hi = ts[:-2], ts[1:-1], ts[2:]
     u = (mid - lo) / (hi - lo)
@@ -182,12 +175,16 @@ def counterexample_check(lam: float, gamma: float) -> CheckReport:
     2 phi(gamma) - phi(0) - phi(2 gamma), which is negative exactly when
     the three-point concavity inequality fails.
     """
-    if not lam > 0.0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    if not gamma > 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    lhs = 4.0 * gamma**2 * (2.0 * lam + 1.0)
-    rhs = 6.0 * gamma**2 * (lam**2 + (1.0 + lam) ** 2)
+    for name, value in (("lam", lam), ("gamma", gamma)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+    try:
+        lhs = 4.0 * gamma**2 * (2.0 * lam + 1.0)
+        rhs = 6.0 * gamma**2 * (lam**2 + (1.0 + lam) ** 2)
+    except OverflowError:
+        rhs = math.inf
+    if math.isinf(rhs):  # lhs < rhs, so lhs is finite when rhs is
+        raise DomainError(f"the comparison overflows at lam={lam}, gamma={gamma}")
     y = (lam, 1.0 + lam)
     midpoint_gap = (2.0 * extended_phi(y, gamma, gamma)
                     - extended_phi(y, gamma, 0.0)
@@ -219,8 +216,7 @@ def scan_symmetric_peaks(half_widths=(1, 2, 3), n_ratios: int = 60,
         abs_n = np.abs(np.arange(-k, k + 1))
         for mu in np.linspace(0.01, 0.9, n_ratios):
             pmf = normalize(mu ** abs_n.astype(np.float64), -k)
-            logs = np.log(pmf.positive_weights())
-            _, phi2_vals = _phi_on_grid(logs, ts)
+            _, phi2_vals = _phi_on_grid(_log_values(pmf), ts)
             j = int(np.argmax(phi2_vals))
             if phi2_vals[j] > best_val:
                 best_val = float(phi2_vals[j])

@@ -61,18 +61,15 @@ class LevelCount:
         idx = np.searchsorted(self.breakpoints, t, side="right")
         return self.counts[idx]
 
-    def segments(self) -> list[tuple[float, float, int]]:
-        """(lo, hi, count) pieces with count > 0, covering (0, max value)."""
-        edges = np.concatenate(([0.0], self.breakpoints))
-        return [(float(edges[j]), float(edges[j + 1]), int(self.counts[j]))
-                for j in range(len(self.breakpoints)) if self.counts[j] > 0]
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pieces covering (0, max value): edges e_0 = 0 < ... < e_K
+        and the count c_k > 0 of F on [e_k, e_{k+1})."""
+        return np.concatenate(([0.0], self.breakpoints)), self.counts[:-1]
 
     def _pieces(self):
-        """Edges e_0 = 0 < ... < e_K of segments(), the count c_k on
-        [e_k, e_{k+1}), and the tail masses G_k = int_{e_k}^inf F with
-        G_K = 0."""
-        lo, hi, c = np.array(self.segments(), dtype=np.float64).T
-        return np.append(lo, hi[-1]), c, _suffix_sum(c * (hi - lo))
+        """segments() and the tail masses G_k = int_{e_k}^inf F, G_K = 0."""
+        edges, c = self.segments()
+        return edges, c, _suffix_sum(c * np.diff(edges))
 
     def _hinge_table(self):
         """_pieces() plus H_k = E[(U - e_k)+], with H_K = 0.
@@ -330,12 +327,8 @@ def crossing_verify(x, z: GeometricSequence, n_samples: int = 0) -> CheckReport:
     zv = z.value(ks)
     points = np.concatenate((f_x.breakpoints, zv[zv >= lowest],
                              [interval.lo, interval.hi]))
-    points = np.unique(points[points > 0.0])
-    mids = (points[:-1] + points[1:]) / 2.0
-    ts = np.unique(np.concatenate((points, mids)))
-    if n_samples > 0:
-        extra = np.geomspace(ts[0], ts[-1], n_samples)
-        ts = np.unique(np.concatenate((ts, extra)))
+    ts = _probe_grid(points[points > 0.0])
+    ts = np.union1d(ts, np.geomspace(ts[0], ts[-1], max(n_samples, 0)))
 
     fz = z.level_count(ts)
     fx = f_x(ts)
@@ -364,7 +357,9 @@ def cake_layer_check(x, t: float) -> CheckReport:
         raise ValueError(f"layer-cake check requires t >= 1, got {t}")
     s = as_subject(x)
     lhs = power_sum(s.pmf, t)
-    rhs = sum(c * (hi**t - lo**t) for lo, hi, c in _levels(s).segments())
+    edges, c = _levels(s).segments()
+    # a running sum adds the pieces left to right, in the order of a loop
+    rhs = float(np.cumsum(c * np.diff(edges**t))[-1])
     err = abs(lhs - rhs)
     tol = 1e-12 * max(1.0, lhs)
     return from_margin("cake_layer", lhs, rhs, tol - err, 0.0,
@@ -398,21 +393,23 @@ def fold_symmetric(x) -> SymmetricFold:
     full = _levels(s)
     half = _level_count_of(w[center_idx:])
 
-    points = np.concatenate((full.breakpoints, half.breakpoints))
-    points = np.unique(points[points > 0.0])
-    mids = (points[:-1] + points[1:]) / 2.0
-    ts = np.concatenate((points, mids, [min(center_mass, points[0]) / 2.0]))
+    # from 0, so the grid holds half the smallest mass too
+    ts = _probe_grid(np.concatenate(([0.0], full.breakpoints, half.breakpoints)))
     ts = ts[ts < center_mass]
     gaps = np.abs(full(ts) - (2 * half(ts) - 1))
     return SymmetricFold(full, half, center_mass, int(np.max(gaps, initial=0)))
 
 
+def _probe_grid(points: np.ndarray) -> np.ndarray:
+    """The distinct points, sorted, with the midpoint of each consecutive
+    pair: the thresholds at which two step functions are compared."""
+    points = np.unique(points)
+    return np.unique(np.concatenate((points, (points[:-1] + points[1:]) / 2.0)))
+
+
 def _default_hinge_grid(u, v) -> np.ndarray:
-    points = np.concatenate((np.asarray(u.breakpoints, dtype=np.float64),
-                             np.asarray(v.breakpoints, dtype=np.float64)))
-    points = np.unique(points[points >= 0.0])
-    mids = (points[:-1] + points[1:]) / 2.0 if points.size > 1 else np.empty(0)
-    return np.unique(np.concatenate(([0.0], points, mids)))
+    points = np.concatenate((u.breakpoints, v.breakpoints))
+    return np.union1d([0.0], _probe_grid(points[points >= 0.0]))
 
 
 def convex_order_check(u_density, v_density, hinge_grid=None,

@@ -41,7 +41,10 @@ def _solve(log_psi, x: LatticePMF, p: float) -> MatchResult:
                                    _BRACKET_LO, _BRACKET_HI,
                                    xtol=1e-15, max_iter=_MAX_ITER)
     target = math.exp(log_target)
-    residual = abs(math.expm1(log_psi(root, p) - log_target))
+    try:
+        residual = abs(math.expm1(log_psi(root, p) - log_target))
+    except OverflowError:  # an extreme order can leave the root far off
+        residual = math.inf
     if residual > _RESIDUAL_TOL:
         raise NoBracketError(f"matching did not converge: residual {residual:.3g}")
     return MatchResult(root, target, residual, iterations)

@@ -8,15 +8,17 @@ monotone half builds the symmetric families.
 
 The scalar_* functions evaluate the crossing and folding checks one
 threshold at a time; the library's array evaluation must reproduce them
-exactly. The loop_* functions evaluate hinge expectations, means and the
-convex-order certificate one segment and one hinge at a time; the
-library's suffix-sum tables must agree with them to rounding.
+exactly. The loop_* functions evaluate hinge expectations, means, the
+convex-order certificate and the layer-cake sum one segment and one hinge
+at a time; the library's suffix-sum tables and array sums must agree with
+them to rounding.
 """
 
 import math
 
 import numpy as np
 
+from lclc.entropy import power_sum
 from lclc.errors import MeanMismatchError
 from lclc.lattice import LatticePMF, normalize, symmetry_center
 from lclc.majorization import (
@@ -153,12 +155,19 @@ def scalar_fold_violation(x: LatticePMF) -> int:
     return worst
 
 
+def segment_tuples(f: LevelCount) -> list[tuple[float, float, int]]:
+    """f.segments() as one (lo, hi, count) triple per piece."""
+    edges, counts = f.segments()
+    return [(float(edges[j]), float(edges[j + 1]), int(counts[j]))
+            for j in range(counts.size)]
+
+
 def loop_hinge_expectation(d, t: float) -> float:
     """E[(U - t)+] for a step density, or E[(U**p - t)+] for a power
     density, summed one segment at a time."""
     if isinstance(d, LevelCount):
         total = 0.0
-        for lo, hi, c in d.segments():
+        for lo, hi, c in segment_tuples(d):
             a = max(lo - t, 0.0)
             b = max(hi - t, 0.0)
             total += c * (b * b - a * a) / 2.0
@@ -166,7 +175,7 @@ def loop_hinge_expectation(d, t: float) -> float:
     p = d.exponent
     cut = t ** (1.0 / p) if t > 0.0 else 0.0
     total = 0.0
-    for lo, hi, c in d.base.segments():
+    for lo, hi, c in segment_tuples(d.base):
         m = max(lo, cut)
         if hi <= m:
             continue
@@ -179,7 +188,7 @@ def loop_mean(d) -> float:
     """Mean of a step density (p = 1) or of a power density, per segment."""
     base, p = (d, 1.0) if isinstance(d, LevelCount) else (d.base, d.exponent)
     return sum(c * (hi ** (p + 1.0) - lo ** (p + 1.0)) / (p + 1.0)
-               for lo, hi, c in base.segments())
+               for lo, hi, c in segment_tuples(base))
 
 
 def loop_convex_order_check(u, v, hinge_grid=None, mean_tol: float = MEAN_TOL,
@@ -201,3 +210,14 @@ def loop_convex_order_check(u, v, hinge_grid=None, mean_tol: float = MEAN_TOL,
     return from_margin("convex_order", worst_pair[0], worst_pair[1], worst,
                        hinge_tol, {"hinges": int(ts.size), "worst_t": worst_t,
                                    "mean": mu_u})
+
+
+def loop_cake_layer_check(x: LatticePMF, t: float) -> CheckReport:
+    """cake_layer_check's report, with the right side summed one segment
+    at a time."""
+    lhs = power_sum(x, t)
+    rhs = sum(c * (hi**t - lo**t) for lo, hi, c in segment_tuples(level_count(x)))
+    err = abs(lhs - rhs)
+    tol = 1e-12 * max(1.0, lhs)
+    return from_margin("cake_layer", lhs, rhs, tol - err, 0.0,
+                       {"t": t, "abs_error": err})

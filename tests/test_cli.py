@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -5,8 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lclc.cli import DEFAULT_T_GRID, RunConfig, classify, main, run
+from lclc.cli import COMMANDS, DEFAULT_T_GRID, RunConfig, classify, main, run
 from lclc.lattice import Direction, materialize, normalize, ParametricLaw
 
 
@@ -179,6 +182,13 @@ MALFORMED += [
     ("support_above_limit", "verify", None, ["--law", "geometric", "--lambda", "0.999999"],
      {"law": "geometric", "lam": 0.999999}),
 ]
+
+# counterexample needs finite --lambda and --gamma whose comparison does
+# not overflow
+for _flag, _key in (("--lambda", "lam"), ("--gamma", "gamma")):
+    for _text in ("1e200", "inf"):
+        MALFORMED.append((f"counterexample_{_key}_{_text}", "counterexample", None,
+                          [_flag, _text], {_key: float(_text)}))
 
 # a zero the user passes is used, never replaced by the flag's default, so
 # each of these is refused downstream
@@ -446,7 +456,8 @@ def test_row_contract(tmp_path, capsys, klass):
 COUNTED = (("lattice", "is_log_concave"), ("lattice", "monotonicity"),
            ("lattice", "symmetry_center"), ("lattice", "difference"),
            ("majorization", "level_count"), ("matching", "match_geometric"),
-           ("matching", "match_symmetric_geometric"))
+           ("matching", "match_symmetric_geometric"),
+           ("inequalities", "_information_content"))
 
 
 def _count_calls(monkeypatch):
@@ -487,3 +498,77 @@ def test_verify_decides_each_fact_once(tmp_path, monkeypatch, source, family):
     expected = {name: 1 for _, name in COUNTED}
     expected[({"match_geometric", "match_symmetric_geometric"} - {family}).pop()] = 0
     assert counts == expected
+
+
+# Exit contract over drawn inputs. Flags take ordinary values, except at
+# most one "wild" flag, which takes any float: +-1e308, inf and nan
+# included. A law's lambda above 0.999 and a --tail-tol below 1e-20 are
+# left out, so no example materializes much more than 10**5 atoms.
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([1e308, -1e308, math.inf, math.nan]))
+LAMBDA = st.floats(0.0, 0.999, exclude_min=True)
+WILD_LAMBDA = ANY_FLOAT.filter(lambda v: not 0.999 < v < 1.0)
+ORDER = st.floats(0.1, 10.0)
+# flag: (ordinary values, wild values)
+FLAGS = {"--lambda": (LAMBDA, WILD_LAMBDA), "--gamma": (st.floats(0.01, 10.0), ANY_FLOAT),
+         "--p": (ORDER, ANY_FLOAT), "--q": (ORDER, ANY_FLOAT),
+         "--alpha": (st.floats(1.0, 10.0), ANY_FLOAT),
+         "--tail-tol": (st.floats(1e-20, 1e-6),
+                        ANY_FLOAT.filter(lambda v: not 0.0 < v < 1e-20)),
+         "--t-grid": (st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4),
+                      st.lists(ANY_FLOAT, max_size=4))}
+WEIGHTS = st.one_of(
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=50),
+    st.lists(st.one_of(ANY_FLOAT, st.integers(-3, 3), st.booleans(), st.text(max_size=2)),
+             max_size=50))
+DOCUMENT = st.one_of(
+    st.fixed_dictionaries({"weights": WEIGHTS},
+                          optional={"offset": st.one_of(st.integers(), ANY_FLOAT)}),
+    st.fixed_dictionaries({"law": st.sampled_from(["geometric", "symmetric_geometric",
+                                                   "poisson"])},
+                          optional={"lambda": WILD_LAMBDA}),
+    st.lists(ANY_FLOAT, max_size=3),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, its distribution (a drawn document, a law or none)
+    and drawn flags; the document is returned apart, to be written out."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv, doc = [command], None
+    source = draw(st.sampled_from(["document", "law", "none"]))
+    if source == "document":
+        doc = draw(DOCUMENT)
+    elif source == "law":
+        argv += ["--law", draw(st.sampled_from(["geometric", "symmetric_geometric"]))]
+    wild = draw(st.sampled_from([None, *FLAGS]))
+    for flag, (ordinary, wild_values) in FLAGS.items():
+        if flag == wild or draw(st.booleans()) or (flag == "--lambda" and source == "law"):
+            value = draw(wild_values if flag == wild else ordinary)
+            text = ",".join(map(repr, value)) if flag == "--t-grid" else repr(value)
+            argv.append(f"{flag}={text}")  # '=' keeps '-1e+308' a value
+    if command == "constants":
+        argv += ["--which", draw(st.sampled_from(["vs", "gap", "c"]))]
+    return argv, doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_argv())
+# inputs the drawing found, each of which once raised
+@example((["counterexample", "--gamma=1e+308"], None))
+@example((["constants", "--which", "gap", "--p=1.0", "--q=1e-300"], None))
+@example((["verify", "--law", "geometric", "--lambda=0.125", "--p=1e+308"], None))
+def test_exit_contract_on_drawn_inputs(tmp_path_factory, drawn):
+    argv, doc = drawn
+    if doc is not None:
+        path = tmp_path_factory.mktemp("doc") / "dist.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--input", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:"), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()

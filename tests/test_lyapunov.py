@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from lclc.entropy import varentropy
 from lclc.errors import DomainError
 from lclc.lattice import ParametricLaw, materialize, normalize
 from lclc.lyapunov import (
+    _phi_on_grid,
     check_concavity,
     counterexample_check,
     extended_phi,
@@ -16,7 +18,53 @@ from lclc.lyapunov import (
     phi_second_derivative,
     scan_symmetric_peaks,
 )
-from support import random_monotone_log_concave, random_pmf
+from support import random_log_concave, random_monotone_log_concave, random_pmf
+
+
+def _kernel_cases():
+    """Log-masses of geometric 0.99 and 0.999 and of random log-concave pmfs."""
+    rng = np.random.default_rng(31)
+    pmfs = [materialize(ParametricLaw.geometric(lam)) for lam in (0.99, 0.999)]
+    pmfs += [random_log_concave(rng, max_support=400) for _ in range(6)]
+    return pmfs
+
+
+class TestGridKernel:
+    """_phi_on_grid is the one evaluation of phi and phi''; a row's bits
+    must not depend on the rows evaluated with it."""
+
+    ts = np.geomspace(0.05, 40.0, 256)
+
+    @pytest.mark.parametrize("height", [1, 7, 32])
+    def test_split_grid_is_bitwise(self, height):
+        # 256 rows in blocks of 7 leave a ragged last block of 4
+        for x in _kernel_cases():
+            logs = np.log(x.positive_weights())
+            whole = _phi_on_grid(logs, self.ts)
+            parts = [_phi_on_grid(logs, self.ts[i:i + height])
+                     for i in range(0, self.ts.size, height)]
+            for k in range(2):
+                np.testing.assert_array_equal(
+                    np.concatenate([part[k] for part in parts]), whole[k])
+
+    def test_scalar_calls_are_grid_rows(self):
+        for x in _kernel_cases():
+            phi_vals, phi2_vals = _phi_on_grid(np.log(x.positive_weights()), self.ts)
+            assert [phi(x, t) for t in self.ts] == phi_vals.tolist()
+            assert [phi_second_derivative(x, t) for t in self.ts] == phi2_vals.tolist()
+
+    def test_check_concavity_memory_is_bounded(self):
+        x = materialize(ParametricLaw.geometric(0.9999))
+        assert x.support_size == 345_371
+        check_concavity(normalize([0.5, 0.5]))  # warm up outside the measurement
+        tracemalloc.start()
+        try:
+            report = check_concavity(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.concave
+        assert peak < 64 * 2**20
 
 
 class TestPhi:

@@ -27,6 +27,7 @@ from lclc.majorization import (
 )
 from lclc.matching import match_geometric
 from support import (
+    loop_cake_layer_check,
     loop_convex_order_check,
     loop_hinge_expectation,
     loop_mean,
@@ -36,6 +37,7 @@ from support import (
     scalar_crossing_verify,
     scalar_fold_violation,
     scalar_geometric_level_count,
+    segment_tuples,
 )
 
 
@@ -66,6 +68,11 @@ class TestLevelCount:
             assert np.all(np.diff(f.counts) < 0)
             assert f.counts[-1] == 0
 
+    def test_segments_are_edge_and_count_arrays(self):
+        edges, counts = level_count(normalize([5, 3, 2, 3])).segments()
+        np.testing.assert_array_equal(edges, [0.0, 2 / 13, 3 / 13, 5 / 13])
+        np.testing.assert_array_equal(counts, [4, 3, 1])
+
 
 class TestCakeLayer:
     def test_mass_case(self):
@@ -91,6 +98,21 @@ class TestCakeLayer:
     def test_requires_t_at_least_one(self):
         with pytest.raises(ValueError):
             cake_layer_check(normalize([1, 1]), 0.5)
+
+    def test_matches_segment_loop(self):
+        # the array sum adds the pieces in the loop's order; numpy's powers
+        # may differ from libm pow in the last ulp, nothing else does
+        rng = np.random.default_rng(24)
+        pmfs = [materialize(ParametricLaw.geometric(lam)) for lam in (0.99, 0.999)]
+        pmfs.append(materialize(ParametricLaw.symmetric_geometric(0.999)))
+        pmfs += [random_pmf(rng) for _ in range(60)]
+        pmfs += [random_symmetric_log_concave(rng) for _ in range(20)]
+        for x in pmfs:
+            for t in (1.0, 2.0, 3.5):
+                report, loop = cake_layer_check(x, t), loop_cake_layer_check(x, t)
+                assert report.lhs == loop.lhs
+                assert report.rhs == pytest.approx(loop.rhs, rel=1e-15, abs=0.0)
+                assert report.verdict == loop.verdict
 
 
 class TestCrossing:
@@ -386,7 +408,7 @@ def _exact_hinge(f: LevelCount, t: float) -> Fraction:
     """E[(U - t)+] in exact rational arithmetic over the float breakpoints."""
     t = Fraction(t)
     total = Fraction(0)
-    for lo, hi, c in f.segments():
+    for lo, hi, c in segment_tuples(f):
         a = max(Fraction(lo) - t, Fraction(0))
         b = max(Fraction(hi) - t, Fraction(0))
         total += c * (b * b - a * a) / 2
