@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple, TextIO
 
 from . import entropy, inequalities, lyapunov, majorization, matching
@@ -27,9 +27,6 @@ from .lattice import DEFAULT_TAIL_TOL, LatticePMF, Structure, Subject, pmf_from_
 from .report import FAIL, NA, CheckReport, info
 
 DEFAULT_T_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
-
-COMMANDS = ("verify", "entropy", "varentropy", "phi", "crossing", "match",
-            "concentration", "constants", "counterexample", "epi")
 
 
 @dataclass
@@ -49,11 +46,10 @@ def classify(x: LatticePMF) -> Subject:
 
 def _load_pmf(config: RunConfig) -> LatticePMF:
     params = config.parameters
-    tail_tol = _param(params, "tail_tol", DEFAULT_TAIL_TOL)
+    tail_tol = _param(params, "tail_tol")
     if config.input_path:
         with open(config.input_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return pmf_from_json(doc, tail_tol)
+            return pmf_from_json(json.load(fh), tail_tol)
     if params.get("law"):
         if params.get("lam") is None:
             raise MissingParameterError("--law needs --lambda")
@@ -73,11 +69,12 @@ class Check(NamedTuple):
     """A table entry: the row an n/a entry writes; the hypotheses it needs,
     each a predicate on the subject with the reason the row reads n/a when
     it fails; and the evaluator, which calls the public check functions
-    through their modules, so a function rebound later is the one called."""
+    through their modules, so a function rebound later is the one called.
+    A view that reads no pmf passes its evaluators no subject (None)."""
 
     name: str
     gates: tuple[Gate, ...]
-    rows: Callable[[Subject, dict[str, Any]], list[CheckReport]]
+    rows: Callable[[Subject | None, dict[str, Any]], list[CheckReport]]
 
 
 def _log_concave(reason: str) -> Gate:
@@ -121,35 +118,34 @@ def _concentration(s: Subject, params) -> list[CheckReport]:
 
 
 def _match(s: Subject, params) -> list[CheckReport]:
-    p = _order(params, "p")
+    p = _param(params, "p")
     family, result = matching.match_comparator(s, p)
     return [info("match_lambda", result.lam,
                  {"p": p, "residual": result.residual,
                   "iterations": result.iterations, "family": family})]
 
 
-def _crossing_pattern(s: Subject, params) -> list[CheckReport]:
-    lam = matching.match_comparator(s, _order(params, "p"))[1].lam
+def _crossing_pattern(s: Subject, lam: float) -> CheckReport:
     z = majorization.GeometricSequence(1.0 - lam, lam)
-    return [majorization.crossing_verify(s.decreasing, z)]
+    return majorization.crossing_verify(s.decreasing, z)
 
 
 def _matching(s: Subject, params) -> list[CheckReport]:
     rows = _match(s, params)
     if s.monotone:
-        rows += _crossing_pattern(s, params)
-    return rows + [matching.renyi_dominance_report(s, _order(params, "p"))]
+        rows.append(_crossing_pattern(s, rows[0].lhs))
+    return rows + [matching.renyi_dominance_report(s, _param(params, "p"))]
 
 
 def _crossing(s: Subject, params) -> list[CheckReport]:
-    p = _order(params, "p")
-    pattern = _crossing_pattern(s, params)
-    cross = pattern[0].params
+    p = _param(params, "p")
     lam = matching.match_comparator(s, p)[1].lam
+    pattern = _crossing_pattern(s, lam)
+    cross = pattern.params
     return [info("match_lambda", lam, {"p": p}),
             info("crossing_interval_lo", cross["interval_lo"],
                  {"a": cross["a"], "b": cross["b"], "hi": cross["interval_hi"]}),
-            *pattern]
+            pattern]
 
 
 def _entropy(s: Subject, params) -> list[CheckReport]:
@@ -168,16 +164,31 @@ def _phi(s: Subject, params) -> list[CheckReport]:
             for t in _t_grid_param(params)]
 
 
+def _constants(s: None, params) -> list[CheckReport]:
+    which = _param(params, "which")
+    if which == "vs":
+        lam_star, v_s = inequalities.sup_varentropy_symmetric()
+        return [info("lambda_star", lam_star), info("V_S", v_s)]
+    if which not in ("gap", "c"):
+        raise LatticeError(f"unknown constant {which!r}: expected vs, gap, or c")
+    p, q = params.get("p"), params.get("q")
+    if p is None or q is None:
+        raise MissingParameterError(f"missing required parameter --{'p' if p is None else 'q'}")
+    if which == "gap":
+        return [info("gap_constant", inequalities.gap_constant(p, q), {"p": p, "q": q})]
+    return [info("C_constant", inequalities.C_constant(q, p), {"q": q, "p": p})]
+
+
 PHI_CONCAVITY = Check("phi_concavity", (_LC_CLASSIFIED, (
     lambda s: s.structure in (Structure.MONOTONE, Structure.HALF_INTEGER_SYMMETRIC),
     "asserted for monotone or half-integer-symmetric pmfs")), _concavity)
 CONCENTRATION = Check("concentration", (_LC_CLASSIFIED, _CLASSIFIED), _concentration)
 RENYI_GAP = Check("renyi_gap", (_LC_MONOTONE, _MONOTONE), lambda s, params: [
-    inequalities.check_renyi_gap(s, _order(params, "p"), _order(params, "q"))])
+    inequalities.check_renyi_gap(s, _param(params, "p"), _param(params, "q"))])
 # ungated: the epi and varentropy subcommands rely on the check function's
 # own guard, verify adds its gates
 EPI_REVERSAL = Check("epi_reversal", (), lambda s, params: [
-    inequalities.epi_reversal_check(s, _order(params, "alpha"))])
+    inequalities.epi_reversal_check(s, _param(params, "alpha"))])
 VARENTROPY_BOUND = Check("varentropy_bound", (), lambda s, params: [
     inequalities.check_varentropy(s)])
 
@@ -205,21 +216,30 @@ VERIFY_NOT_LOG_CONCAVE = VERIFY[:_AT] + (RENYI_GAP, CONCENTRATION) + VERIFY[_AT 
 # it refuses the input (exit 2)
 OMIT, REFUSE = "omit", "refuse"
 
-# each subcommand's entries and the policy for a failed hypothesis
+# each subcommand's entries, the policy for a failed hypothesis and the
+# parameters it reads; a view without PMF, the parameters that give the
+# pmf, runs its entries on no subject
+PMF = ("input_path", "law", "lam", "tail_tol")
 VIEWS = {
-    "verify": (VERIFY, NA),
-    "entropy": ((Check("entropy", (), _entropy),), REFUSE),
+    "verify": (VERIFY, NA, PMF + ("p", "q", "alpha", "t_grid")),
+    "entropy": ((Check("entropy", (), _entropy),), REFUSE, PMF + ("p",)),
     "varentropy": ((Check("varentropy", (), lambda s, params: [
-        info("varentropy", entropy.varentropy(s.pmf))]), VARENTROPY_BOUND), NA),
-    "phi": ((Check("phi", (), _phi), PHI_CONCAVITY), OMIT),
-    "crossing": ((Check("crossing", (_LC_MONOTONE, _MONOTONE), _crossing),), REFUSE),
-    "match": ((Check("match", (_MATCHABLE,), _match),), REFUSE),
-    "concentration": ((CONCENTRATION,), REFUSE),
-    "epi": ((EPI_REVERSAL,), REFUSE),
+        info("varentropy", entropy.varentropy(s.pmf))]), VARENTROPY_BOUND), NA, PMF),
+    "phi": ((Check("phi", (), _phi), PHI_CONCAVITY), OMIT, PMF + ("t_grid",)),
+    "crossing": ((Check("crossing", (_LC_MONOTONE, _MONOTONE), _crossing),), REFUSE,
+                 PMF + ("p",)),
+    "match": ((Check("match", (_MATCHABLE,), _match),), REFUSE, PMF + ("p",)),
+    "concentration": ((CONCENTRATION,), REFUSE, PMF + ("t_grid",)),
+    "constants": ((Check("constants", (), _constants),), REFUSE, ("which", "p", "q")),
+    "counterexample": ((Check("counterexample", (), lambda s, params: [
+        lyapunov.counterexample_check(_param(params, "lam"), _param(params, "gamma"))]),),
+        REFUSE, ("lam", "gamma")),
+    "epi": ((EPI_REVERSAL,), REFUSE, PMF + ("alpha",)),
 }
+COMMANDS = tuple(VIEWS)
 
 
-def _evaluate(check: Check, s: Subject, params: dict[str, Any],
+def _evaluate(check: Check, s: Subject | None, params: dict[str, Any],
               policy: str) -> list[CheckReport]:
     """The entry's rows, or what the policy writes for the first hypothesis
     s fails, or for an order or class the check function itself refuses."""
@@ -241,8 +261,7 @@ def run(config: RunConfig, stream: TextIO | None = None) -> int:
     try:
         rows = _dispatch(config)
     except (LatticeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc)
     if config.out_path:
         with open(config.out_path, "w", encoding="utf-8") as fh:
             _emit(rows, config, fh)
@@ -251,73 +270,51 @@ def run(config: RunConfig, stream: TextIO | None = None) -> int:
     return 1 if any(r.verdict == FAIL for r in rows) else 0
 
 
+def _refuse(exc: Exception) -> int:
+    print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+    return 2
+
+
 def _dispatch(config: RunConfig) -> list[CheckReport]:
     params = config.parameters
     cmd = config.command
-
-    if cmd == "constants":
-        which = _param(params, "which", "vs")
-        if which == "vs":
-            lam_star, v_s = inequalities.sup_varentropy_symmetric()
-            return [info("lambda_star", lam_star), info("V_S", v_s)]
-        if which == "gap":
-            p, q = _require(params, "p"), _require(params, "q")
-            return [info("gap_constant", inequalities.gap_constant(p, q),
-                         {"p": p, "q": q})]
-        if which == "c":
-            p, q = _require(params, "p"), _require(params, "q")
-            return [info("C_constant", inequalities.C_constant(q, p),
-                         {"q": q, "p": p})]
-        raise LatticeError(f"unknown constant {which!r}: expected vs, gap, or c")
-
-    if cmd == "counterexample":
-        lam = _param(params, "lam", 0.1)
-        gamma = _param(params, "gamma", 1.0)
-        return [lyapunov.counterexample_check(lam, gamma)]
-
-    if cmd == "verify":
-        # a bad order or grid exits 2 before any row, whatever the pmf
-        for key in _ORDER_DEFAULTS:
-            if not _order(params, key) > 0.0:
-                raise BadOrdersError(f"--{key} must be positive, got {_order(params, key)}")
-        _t_grid_param(params)
-    s = classify(_load_pmf(config))
     if cmd not in VIEWS:
         raise LatticeError(f"unknown command {cmd!r}")
-    checks, policy = VIEWS[cmd]
+    checks, policy, reads = VIEWS[cmd]
+    foreign = [FLAGS.get(k, (k,))[0] for k, v in
+               {"input_path": config.input_path, **params}.items()
+               if v is not None and k not in reads]
+    if foreign:
+        raise LatticeError(f"{cmd} does not read {', '.join(foreign)}")
+    if cmd == "verify":
+        # a bad order or grid exits 2 before any row, whatever the pmf
+        for key in ("p", "q", "alpha"):
+            if not _param(params, key) > 0.0:
+                raise BadOrdersError(f"--{key} must be positive, got {_param(params, key)}")
+        _t_grid_param(params)
+    s = classify(_load_pmf(config)) if "input_path" in reads else None
     if cmd == "verify" and not s.log_concave:
         checks = VERIFY_NOT_LOG_CONCAVE
     return [row for check in checks for row in _evaluate(check, s, params, policy)]
 
 
-_ORDER_DEFAULTS = {"p": 2.0, "q": 1.0, "alpha": 2.0}
+# what a parameter reads when it is not given (counterexample's --lambda
+# is 0.1); --law's --lambda and constants' --p and --q have no default
+_DEFAULTS = {"p": 2.0, "q": 1.0, "alpha": 2.0, "t_grid": DEFAULT_T_GRID,
+             "tail_tol": DEFAULT_TAIL_TOL, "which": "vs", "lam": 0.1, "gamma": 1.0}
 
 
-def _order(params: dict[str, Any], key: str) -> float:
-    """The order --p, --q or --alpha, or its default when none was given."""
-    return _param(params, key, _ORDER_DEFAULTS[key])
-
-
-def _param(params: dict[str, Any], key: str, default: Any) -> Any:
+def _param(params: dict[str, Any], key: str) -> Any:
     """The given value of a parameter, or its default when none was given;
     a given value is never replaced, so a bad one is refused downstream."""
     value = params.get(key)
-    return default if value is None else value
-
-
-def _require(params: dict[str, Any], key: str) -> float:
-    value = params.get(key)
-    if value is None:
-        raise MissingParameterError(f"missing required parameter --{key}")
-    return value
+    return _DEFAULTS[key] if value is None else value
 
 
 def _t_grid_param(params: dict[str, Any]) -> tuple[float, ...]:
     """--t-grid, or the default grid when none is given; a given grid must
     be non-empty with every point finite and positive."""
-    t_grid = params.get("t_grid")
-    if t_grid is None:
-        return DEFAULT_T_GRID
+    t_grid = _param(params, "t_grid")
     if not t_grid or not all(0.0 < float(t) < math.inf for t in t_grid):
         raise DomainError("--t-grid needs one or more finite positive points,"
                           f" got {tuple(t_grid)!r}")
@@ -329,10 +326,8 @@ def _t_grid_param(params: dict[str, Any]) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -342,25 +337,18 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _row_dict(row: CheckReport) -> dict[str, Any]:
-    return {"check_name": row.name, "lhs": _jsonable(row.lhs),
-            "rhs": _jsonable(row.rhs), "margin": _jsonable(row.margin),
-            "verdict": row.verdict, "params": _jsonable(row.params)}
-
-
 def _emit(rows: list[CheckReport], config: RunConfig, stream: TextIO) -> None:
-    dicts = [_row_dict(r) for r in rows]
+    dicts = [{"check_name": r.name, "lhs": _jsonable(r.lhs), "rhs": _jsonable(r.rhs),
+              "margin": _jsonable(r.margin), "verdict": r.verdict,
+              "params": _jsonable(r.params)} for r in rows]
     if config.output_format == "json":
         json.dump(dicts, stream, indent=2, sort_keys=True)
         stream.write("\n")
         return
     stream.write("check_name,lhs,rhs,margin,verdict,params\n")
     for d in dicts:
-        cells = [d["check_name"]]
-        for key in ("lhs", "rhs", "margin"):
-            value = d[key]
-            cells.append("" if value is None else repr(value))
-        cells.append(d["verdict"])
+        numbers = ["" if d[key] is None else repr(d[key]) for key in ("lhs", "rhs", "margin")]
+        cells = [d["check_name"], *numbers, d["verdict"]]
         params = json.dumps(d["params"], sort_keys=True, separators=(",", ":"))
         cells.append('"' + params.replace('"', '""') + '"')
         stream.write(",".join(cells) + "\n")
@@ -377,43 +365,55 @@ def _t_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad t-grid {text!r}") from None
 
 
+# each parameter's flag and how argparse reads it; every subcommand has the last two
+FLAGS = {
+    "input_path": ("--input", {"help": "JSON file with weights/offset or law/lambda"}),
+    "law": ("--law", {"choices": ("geometric", "symmetric_geometric")}),
+    "lam": ("--lambda", {"type": float}),
+    "p": ("--p", {"type": float}),
+    "q": ("--q", {"type": float}),
+    "alpha": ("--alpha", {"type": float}),
+    "gamma": ("--gamma", {"type": float}),
+    "t_grid": ("--t-grid", {"type": _t_grid}),
+    "which": ("--which", {"choices": ("vs", "gap", "c")}),
+    "tail_tol": ("--tail-tol", {"type": float}),
+    "out_path": ("--out", {}),
+    "output_format": ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a LatticeError, which main reports in one line."""
+
+    def error(self, message: str):
+        raise LatticeError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lclc",
         description="Numerical checks for entropy inequalities of log-concave "
                     "lattice distributions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, _, reads) in VIEWS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", dest="input_path", default=None,
-                       help="JSON file with weights/offset or law/lambda")
-        p.add_argument("--law", choices=("geometric", "symmetric_geometric"),
-                       default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--t-grid", dest="t_grid", type=_t_grid, default=None)
-        p.add_argument("--which", choices=("vs", "gap", "c"), default=None)
-        p.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
-        p.add_argument("--out", dest="out_path", default=None)
-        p.add_argument("--format", dest="output_format",
-                       choices=("csv", "json"), default="csv")
+        for key in reads + ("out_path", "output_format"):
+            flag, kwargs = FLAGS[key]
+            p.add_argument(flag, dest=key, **kwargs)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    keys = ("law", "lam", "p", "q", "alpha", "gamma", "t_grid", "which",
-            "tail_tol")
-    params = {k: getattr(args, k) for k in keys}
-    return RunConfig(command=args.command, input_path=args.input_path,
-                     parameters=params, output_format=args.output_format,
-                     out_path=args.out_path)
+    params = dict(vars(args))
+    given = {f.name: params.pop(f.name) for f in fields(RunConfig) if f.name in params}
+    return RunConfig(**given, parameters=params)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except LatticeError as exc:
+        return _refuse(exc)
     return run(config_from_args(args))
 
 

@@ -35,9 +35,15 @@ def _check_order(p: float) -> float:
 
 
 def log_power_sum_of_logs(log_w: np.ndarray, t: float) -> float:
-    """log(sum_i w_i**t) from log-weights, max-shifted for stability."""
-    s = t * log_w
+    """log(sum_i w_i**t) from log-weights, max-shifted for stability.
+
+    A product t * log w_i below the float range is -inf, its limit; when
+    every product is, so is the log of the sum."""
+    with np.errstate(over="ignore"):
+        s = t * log_w
     m = float(s.max())
+    if m == -INF:
+        return m
     return m + math.log(float(np.exp(s - m).sum()))
 
 
@@ -62,16 +68,18 @@ def renyi(x: LatticePMF, p: float) -> float:
     """Renyi entropy H_p(X) with the limit cases p in {0, 1, inf}.
 
     p = 0 returns log(#support), the p -> 0+ limit for finite support;
-    p = 1 is Shannon entropy; p = inf is -log(max mass).
+    p = 1 is Shannon entropy; p = inf is -log(max mass), which is also the
+    value at a finite order so large that the power sum underflows.
     """
     p = _check_order(p)
     if p == 0.0:
         return math.log(x.support_size)
     if p == 1.0:
         return shannon(x)
-    if math.isinf(p):
+    log_sum = -INF if math.isinf(p) else log_power_sum(x, p)
+    if log_sum == -INF:
         return -math.log(x.max_weight)
-    return log_power_sum(x, p) / (1.0 - p)
+    return log_sum / (1.0 - p)
 
 
 def varentropy(x: LatticePMF) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import entropy
 from .errors import BadOrdersError, NotMonotoneLogConcaveError, UnclassifiedError
-from .lattice import LatticePMF, Structure, as_subject, mean_variance
+from .lattice import LatticePMF, Structure, as_subject
 from .optimize import golden_section_max
 from .report import CheckReport, from_margin
 
@@ -146,9 +146,10 @@ def mean_mode_check(x) -> CheckReport:
     if not s.log_concave:
         raise UnclassifiedError("mean-mode bound needs a log-concave pmf")
     x = s.pmf
-    mean, _ = mean_variance(x)
+    # relative to the offset, which the report adds once
+    mean = float(np.dot(x.weights, np.arange(len(x), dtype=np.float64)))
     lo, hi = math.floor(mean), math.ceil(mean)
-    f_lo, f_hi = x.pmf(lo), x.pmf(hi)
+    f_lo, f_hi = x.pmf(x.offset + lo), x.pmf(x.offset + hi)
     frac = mean - lo
     if lo == hi:
         interpolated = f_lo
@@ -159,7 +160,7 @@ def mean_mode_check(x) -> CheckReport:
     strong_margin = math.e * interpolated - peak
     margin = min(lhs - peak, strong_margin)
     return from_margin("mean_mode", lhs, peak, margin, 1e-12,
-                       {"mean": mean, "interpolated": interpolated,
+                       {"mean": x.offset + mean, "interpolated": interpolated,
                         "strong_margin": strong_margin})
 
 

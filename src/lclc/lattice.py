@@ -108,11 +108,6 @@ class LatticePMF:
         return self.weights.shape[0]
 
     @property
-    def indices(self) -> np.ndarray:
-        """Integer support grid, including any interior zero-mass indices."""
-        return np.arange(self.offset, self.offset + len(self))
-
-    @property
     def support_size(self) -> int:
         return int(np.count_nonzero(self.weights))
 
@@ -266,13 +261,15 @@ class Subject:
     def monotone(self) -> bool:
         return self.direction is not Direction.NEITHER
 
+    # the center is an integer iff the trimmed support has odd length,
+    # which holds exactly whatever the offset (the float center may not)
     @property
     def integer_symmetric(self) -> bool:
-        return self.symmetry is not None and self.symmetry == int(self.symmetry)
+        return self.symmetry is not None and len(self.pmf) % 2 == 1
 
     @property
     def half_integer_symmetric(self) -> bool:
-        return self.symmetry is not None and self.symmetry != int(self.symmetry)
+        return self.symmetry is not None and len(self.pmf) % 2 == 0
 
     @property
     def structure(self) -> Structure | None:
@@ -307,11 +304,12 @@ def as_subject(x) -> Subject:
 
 
 def mean_variance(x: LatticePMF) -> tuple[float, float]:
-    """Exact finite-sum mean and variance."""
-    idx = x.indices.astype(np.float64)
+    """Exact finite-sum mean and variance, summed relative to the offset,
+    which is added once, so a large offset costs the mean no precision."""
+    idx = np.arange(len(x), dtype=np.float64)
     mean = float(np.dot(x.weights, idx))
     var = float(np.dot(x.weights, (idx - mean) ** 2))
-    return mean, var
+    return x.offset + mean, var
 
 
 def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL,

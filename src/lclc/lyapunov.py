@@ -93,24 +93,34 @@ def phi_geometric_second_derivative(lam: float, t: float) -> float:
 
 def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(phi, phi'') at each exponent t > 0 in ts, from the log-masses logs,
-    in blocks of about _BLOCK_ELEMENTS entries, so memory stays bounded."""
+    in blocks of about _BLOCK_ELEMENTS entries, so memory stays bounded.
+
+    A product t * log x_i below the float range is -inf, its limit. A row
+    whose largest product t * max log x is -inf (rounding is monotone) has
+    phi = -inf and tilted variance 0, the limits as t grows."""
     if not np.all(ts > 0.0):
         raise ValueError(f"t must be positive, got {ts.min()}")
-    phi_vals, var = np.empty(ts.size), np.empty(ts.size)
-    height = max(1, _BLOCK_ELEMENTS // logs.size)
-    for i in range(0, ts.size, height):
-        rows = slice(i, i + height)
-        s = ts[rows, None] * logs
-        m = s.max(axis=1, keepdims=True)
-        w = np.exp(s - m, out=s)
-        totals = w.sum(axis=1, keepdims=True)
-        phi_vals[rows] = np.log(ts[rows]) + m[:, 0] + np.log(totals[:, 0])
-        w /= totals
-        # row sums, not w @ logs or einsum: those pick their kernel by the
-        # block's shape, so a row's bits would depend on the block height
-        means = (w * logs).sum(axis=1, keepdims=True)
-        var[rows] = (w * (logs - means) ** 2).sum(axis=1)
-    return phi_vals, var - 1.0 / ts**2
+    with np.errstate(over="ignore"):
+        dead = ts * logs.max() == -np.inf
+        if dead.any():
+            phi_vals, phi2_vals = np.full(ts.size, -np.inf), 0.0 - 1.0 / ts**2
+            phi_vals[~dead], phi2_vals[~dead] = _phi_on_grid(logs, ts[~dead])
+            return phi_vals, phi2_vals
+        phi_vals, var = np.empty(ts.size), np.empty(ts.size)
+        height = max(1, _BLOCK_ELEMENTS // logs.size)
+        for i in range(0, ts.size, height):
+            rows = slice(i, i + height)
+            s = ts[rows, None] * logs
+            m = s.max(axis=1, keepdims=True)
+            w = np.exp(s - m, out=s)
+            totals = w.sum(axis=1, keepdims=True)
+            phi_vals[rows] = np.log(ts[rows]) + m[:, 0] + np.log(totals[:, 0])
+            w /= totals
+            # row sums, not w @ logs or einsum: those pick their kernel by the
+            # block's shape, so a row's bits would depend on the block height
+            means = (w * logs).sum(axis=1, keepdims=True)
+            var[rows] = (w * (logs - means) ** 2).sum(axis=1)
+        return phi_vals, var - 1.0 / ts**2
 
 
 def check_concavity(x, t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,

@@ -388,7 +388,7 @@ def fold_symmetric(x) -> SymmetricFold:
     if not s.integer_symmetric:
         raise NotSymmetricError("requires a pmf symmetric about an integer")
     w = s.pmf.weights
-    center_idx = int(s.symmetry) - s.pmf.offset
+    center_idx = (len(w) - 1) // 2
     center_mass = float(w[center_idx])
     full = _levels(s)
     half = _level_count_of(w[center_idx:])

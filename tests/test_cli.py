@@ -3,13 +3,15 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lclc.cli import COMMANDS, DEFAULT_T_GRID, RunConfig, classify, main, run
+from lclc.cli import (COMMANDS, DEFAULT_T_GRID, FLAGS, VIEWS, RunConfig, classify,
+                      main, run)
 from lclc.lattice import Direction, materialize, normalize, ParametricLaw
 
 
@@ -200,6 +202,25 @@ for _command, _flag, _key in (("verify", "--p", "p"), ("verify", "--q", "q"),
     MALFORMED.append((f"{_command}_{_key}_zero", _command, None,
                       _LAW_ARGV + [_flag, "0"], {**_LAW_PARAMS, _key: 0.0}))
 
+# a flag the subcommand does not read, or a RunConfig parameter or input
+# path it does not read, is refused rather than ignored
+MALFORMED += [
+    ("verify_gamma", "verify", None, _LAW_ARGV + ["--gamma", "1"],
+     {**_LAW_PARAMS, "gamma": 1.0}),
+    ("constants_input", "constants", _GOOD, [], {}),
+    ("counterexample_tail_tol", "counterexample", None, ["--tail-tol", "5"],
+     {"tail_tol": 5.0}),
+    ("epi_p", "epi", None, _LAW_ARGV + ["--p", "2"], {**_LAW_PARAMS, "p": 2.0}),
+]
+
+# argv that argparse itself refuses: a value that does not parse or a
+# bad choice; main returns 2 like any other bad input
+UNPARSABLE = [
+    ["entropy"] + _LAW_ARGV + ["--p", "abc"],
+    ["verify", "--law", "poisson", "--lambda", "0.5"],
+    ["verify"] + _LAW_ARGV + ["--format", "xml"],
+]
+
 # a single-check subcommand refuses an order its check does not cover
 for _command, _flag, _text, _value in (("match", "--p", "1", 1.0),
                                        ("crossing", "--p", "inf", math.inf),
@@ -255,10 +276,29 @@ class TestUsageErrors:
     def test_bad_law_parameter(self, capsys):
         assert main(["verify", "--law", "geometric", "--lambda", "1.5"]) == 2
 
-    def test_unknown_command_exits_two(self):
+    @pytest.mark.parametrize("argv", UNPARSABLE, ids=" ".join)
+    def test_unparsable_argv_exits_two(self, capsys, argv):
+        _assert_usage_error(main(argv), capsys)
+
+    def test_unknown_command_exits_two(self, capsys):
+        _assert_usage_error(main(["frobnicate"]), capsys)
+        _assert_usage_error(run(RunConfig("frobnicate"), io.StringIO()), capsys)
+
+    def test_no_command_exits_two(self, capsys):
+        _assert_usage_error(main([]), capsys)
+
+    def test_message_with_a_newline_stays_one_line(self, capsys):
+        _assert_usage_error(main(["verify", "stray\nargument"]), capsys)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_the_view_parameters(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = {FLAGS[key][0] for key in VIEWS[command][2]} | {"--out", "--format"}
+        listed = {word.rstrip(",") for line in capsys.readouterr().out.splitlines()
+                  for word in line.split() if word.startswith("--")}
+        assert listed - {"--help"} == flags
 
     def test_run_config_roundtrip(self):
         config = RunConfig(command="counterexample",
@@ -443,6 +483,18 @@ ROW_CONTRACT = {
 }
 
 
+# weights far from the origin read as their class does near it (the first
+# is the half_integer_symmetric entry's, 10**20 further out): the symmetry
+# class comes from the support's length, not from a float center that
+# loses its half, and the mean is summed relative to the offset, so its
+# fraction survives for mean_mode
+ROW_CONTRACT["half_integer_symmetric_far"] = (
+    {"offset": 10**20, "weights": [0.1, 0.4, 0.4, 0.1]},
+    ROW_CONTRACT["half_integer_symmetric"][1])
+ROW_CONTRACT["integer_symmetric_far"] = (
+    {"offset": 1e20, "weights": [0.2, 0.6, 0.2]}, ROW_CONTRACT["integer_symmetric"][1])
+
+
 @pytest.mark.parametrize("klass", ROW_CONTRACT)
 def test_row_contract(tmp_path, capsys, klass):
     doc, contract = ROW_CONTRACT[klass]
@@ -509,13 +561,13 @@ LAMBDA = st.floats(0.0, 0.999, exclude_min=True)
 WILD_LAMBDA = ANY_FLOAT.filter(lambda v: not 0.999 < v < 1.0)
 ORDER = st.floats(0.1, 10.0)
 # flag: (ordinary values, wild values)
-FLAGS = {"--lambda": (LAMBDA, WILD_LAMBDA), "--gamma": (st.floats(0.01, 10.0), ANY_FLOAT),
-         "--p": (ORDER, ANY_FLOAT), "--q": (ORDER, ANY_FLOAT),
-         "--alpha": (st.floats(1.0, 10.0), ANY_FLOAT),
-         "--tail-tol": (st.floats(1e-20, 1e-6),
-                        ANY_FLOAT.filter(lambda v: not 0.0 < v < 1e-20)),
-         "--t-grid": (st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4),
-                      st.lists(ANY_FLOAT, max_size=4))}
+VALUES = {"--lambda": (LAMBDA, WILD_LAMBDA), "--gamma": (st.floats(0.01, 10.0), ANY_FLOAT),
+          "--p": (ORDER, ANY_FLOAT), "--q": (ORDER, ANY_FLOAT),
+          "--alpha": (st.floats(1.0, 10.0), ANY_FLOAT),
+          "--tail-tol": (st.floats(1e-20, 1e-6),
+                         ANY_FLOAT.filter(lambda v: not 0.0 < v < 1e-20)),
+          "--t-grid": (st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4),
+                       st.lists(ANY_FLOAT, max_size=4))}
 WEIGHTS = st.one_of(
     st.lists(st.floats(0.0, 10.0), min_size=1, max_size=50),
     st.lists(st.one_of(ANY_FLOAT, st.integers(-3, 3), st.booleans(), st.text(max_size=2)),
@@ -530,45 +582,94 @@ DOCUMENT = st.one_of(
 )
 
 
+# a text each flag parses, to add it to a subcommand that does not read it
+PARSES = {"--input": "dist.json", "--law": "geometric", "--which": "vs"}
+UNIFORM_10 = {"weights": [0.1] * 10}
+
+
 @st.composite
 def _argv(draw):
-    """A subcommand, its distribution (a drawn document, a law or none)
-    and drawn flags; the document is returned apart, to be written out."""
+    """A subcommand and flags drawn from the parameters its view reads: its
+    distribution (a drawn document, a law or none) if it reads one, and its
+    orders, grid and constants. Sometimes one flag it does not read, or a
+    value that does not parse, is added, which makes the argv a usage
+    error. Returns (argv, document to write out, whether misused)."""
     command = draw(st.sampled_from(COMMANDS))
+    reads = [FLAGS[key][0] for key in VIEWS[command][2]]
     argv, doc = [command], None
-    source = draw(st.sampled_from(["document", "law", "none"]))
+    source = "none"
+    if "--input" in reads:
+        source = draw(st.sampled_from(["document", "law", "law", "none"]))
     if source == "document":
         doc = draw(DOCUMENT)
     elif source == "law":
         argv += ["--law", draw(st.sampled_from(["geometric", "symmetric_geometric"]))]
-    wild = draw(st.sampled_from([None, *FLAGS]))
-    for flag, (ordinary, wild_values) in FLAGS.items():
+    own = [flag for flag in VALUES if flag in reads]
+    wild = draw(st.sampled_from([None] * len(own) + own))
+    for flag in own:
         if flag == wild or draw(st.booleans()) or (flag == "--lambda" and source == "law"):
-            value = draw(wild_values if flag == wild else ordinary)
+            value = draw(VALUES[flag][1] if flag == wild else VALUES[flag][0])
             text = ",".join(map(repr, value)) if flag == "--t-grid" else repr(value)
             argv.append(f"{flag}={text}")  # '=' keeps '-1e+308' a value
-    if command == "constants":
+    if "--which" in reads:
         argv += ["--which", draw(st.sampled_from(["vs", "gap", "c"]))]
-    return argv, doc
+    misuse = draw(st.sampled_from([None] * 6 + ["foreign", "unparsable"]))
+    if misuse == "foreign":
+        foreign = [flag for flag, _ in FLAGS.values()
+                   if flag not in reads and flag not in ("--out", "--format")]
+        flag = draw(st.sampled_from(foreign))
+        argv += [flag, PARSES.get(flag, "1")]
+    elif misuse == "unparsable":
+        flag = draw(st.sampled_from([f for f in reads if f not in ("--input", "--law")]))
+        argv.append(f"{flag}=abc")
+    return argv, doc, misuse is not None
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_argv())
 # inputs the drawing found, each of which once raised
-@example((["counterexample", "--gamma=1e+308"], None))
-@example((["constants", "--which", "gap", "--p=1.0", "--q=1e-300"], None))
-@example((["verify", "--law", "geometric", "--lambda=0.125", "--p=1e+308"], None))
+@example((["counterexample", "--gamma=1e+308"], None, False))
+@example((["constants", "--which", "gap", "--p=1.0", "--q=1e-300"], None, False))
+@example((["verify", "--law", "geometric", "--lambda=0.125", "--p=1e+308"], None, False))
+# orders at which t * log x overflows, each of which once warned
+@example((["epi", "--alpha=1e+308"], UNIFORM_10, False))
+@example((["entropy", "--p=1e+308"], UNIFORM_10, False))
+@example((["phi", "--t-grid=1e+308"], UNIFORM_10, False))
+@example((["verify", "--law", "geometric", "--lambda=0.5", "--alpha=1e+308"], None, False))
 def test_exit_contract_on_drawn_inputs(tmp_path_factory, drawn):
-    argv, doc = drawn
+    argv, doc, misused = drawn
     if doc is not None:
         path = tmp_path_factory.mktemp("doc") / "dist.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--input", str(path)]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
-    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    assert code == 2 if misused else code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:"), err.getvalue()
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+def test_extreme_orders_take_their_limits(tmp_path, capsys):
+    """At orders where t * log x overflows, H_p and the epi rows take their
+    p -> inf limits and phi its -inf limit, with no warning: exit 0."""
+    path = _write_dist(tmp_path, UNIFORM_10)
+    log_10 = -math.log(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rows = _rows(["entropy", "--input", path, "--p", "1e308"], capsys)
+        assert code == 0 and rows == [("renyi_entropy", "info", None)]
+        assert main(["entropy", "--input", path, "--p", "1e308", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["lhs"] == log_10
+        assert main(["epi", "--input", path, "--alpha", "1e308", "--format", "json"]) == 0
+        epi = json.loads(capsys.readouterr().out)[0]
+        assert epi["verdict"] == "pass" and epi["lhs"] == log_10
+        assert main(["phi", "--input", path, "--t-grid", "1e308", "--format", "json"]) == 0
+        phi = json.loads(capsys.readouterr().out)[0]
+        assert phi["lhs"] == "-inf" and phi["params"]["phi2"] == 0.0
+        assert main(["verify"] + _LAW_ARGV + ["--alpha", "1e308"]) == 0

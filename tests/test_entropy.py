@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lclc import entropy
 from lclc.entropy import (
     info_content,
     info_summary,
+    log_power_sum,
     power_sum,
     power_sum_geometric,
     renyi,
@@ -72,6 +74,19 @@ class TestRenyi:
     def test_rejects_negative_order(self):
         with pytest.raises(BadOrdersError):
             renyi(normalize([1, 1]), -0.5)
+
+    def test_underflowing_power_sum_takes_the_limit(self):
+        # t * log x_i overflows to -inf at these orders: the power sum's
+        # log is -inf and H_p is its p -> inf limit, -log max x, silently
+        uniform = normalize(np.ones(10))
+        peaked = normalize([1.5] + [1.0] * 9)  # every mass below exp(-1.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_power_sum(uniform, 1e308) == -INF
+            assert renyi(uniform, 1e308) == -math.log(0.1)
+            assert renyi(peaked, 1e308) == -math.log(peaked.max_weight)
+            # some products overflow, the largest does not
+            assert math.isfinite(log_power_sum(normalize([0.9, 1e-300]), 1e306))
 
     @settings(max_examples=60, deadline=None)
     @given(pmfs(), st.floats(0.1, 8.0), st.floats(0.1, 8.0))

@@ -172,6 +172,16 @@ class TestMeanMode:
         with pytest.raises(UnclassifiedError):
             mean_mode_check(normalize([0.4, 0.1, 0.4, 0.1]))
 
+    @pytest.mark.parametrize("weights", [[0.2, 0.6, 0.2], [0.1, 0.4, 0.4, 0.1]])
+    def test_large_offset_keeps_the_verdict(self, weights):
+        # floor and ceil of the mean are taken relative to the offset, so
+        # the mean's fraction is not lost in the offset's float
+        near = mean_mode_check(normalize(weights, -1))
+        far = mean_mode_check(normalize(weights, 10**20))
+        assert near.passed and far.passed
+        assert (far.lhs, far.rhs, far.margin) == (near.lhs, near.rhs, near.margin)
+        assert far.params["mean"] == 1e20
+
 
 class TestRate:
     def test_values(self):

@@ -178,6 +178,13 @@ class TestMoments:
         assert mean == pytest.approx(1.0, abs=1e-9)
         assert var == pytest.approx(2.0, abs=1e-9)
 
+    def test_large_offset_is_added_once(self):
+        # summed relative to the offset, the mean keeps its fraction until
+        # the offset itself swamps it
+        for offset in (0, 10**6, 10**15, 10**20):
+            mean, var = mean_variance(normalize([0.25, 0.5, 0.25], offset))
+            assert mean == offset + 1.0 and var == 0.5
+
 
 class TestDifference:
     def test_uniform_pair(self):
@@ -275,6 +282,15 @@ class TestSubject:
                  ([2, 6, 2], Structure.INTEGER_SYMMETRIC), ([1, 4, 2], None)]
         for weights, structure in cases:
             assert Subject(normalize(weights)).structure is structure, weights
+
+    def test_symmetry_class_is_exact_at_large_offsets(self):
+        # the float center offset + 1.5 rounds to an integer above 2**53;
+        # the class comes from the parity of the support length instead
+        for offset in (-1, 2**53, 10**20, -(10**20)):
+            assert Subject(normalize([1, 4, 4, 1], offset)).structure \
+                is Structure.HALF_INTEGER_SYMMETRIC, offset
+            assert Subject(normalize([1, 3, 1], offset)).structure \
+                is Structure.INTEGER_SYMMETRIC, offset
 
     def test_coercion(self):
         x = normalize([5, 3, 2])

@@ -1,4 +1,5 @@
 import math
+import warnings
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,21 @@ class TestGridKernel:
             phi_vals, phi2_vals = _phi_on_grid(np.log(x.positive_weights()), self.ts)
             assert [phi(x, t) for t in self.ts] == phi_vals.tolist()
             assert [phi_second_derivative(x, t) for t in self.ts] == phi2_vals.tolist()
+
+    def test_underflowing_rows_take_the_limit(self):
+        # rows whose largest t * log x is -inf read phi = -inf and tilted
+        # variance 0, with no warning; the other rows keep their bits
+        logs = np.log(normalize(np.ones(10)).positive_weights())
+        ts = np.array([0.5, 1e308, 2.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi_vals, phi2_vals = _phi_on_grid(logs, ts)
+        assert phi_vals[1] == -math.inf and phi2_vals[1] == 0.0
+        assert phi_vals[3] == pytest.approx(math.log(1e300) - 1e300 * math.log(10.0))
+        assert phi2_vals[3] == 0.0
+        for k in (0, 2):
+            alone = _phi_on_grid(logs, ts[k:k + 1])
+            assert (phi_vals[k], phi2_vals[k]) == (alone[0][0], alone[1][0])
 
     def test_check_concavity_memory_is_bounded(self):
         x = materialize(ParametricLaw.geometric(0.9999))

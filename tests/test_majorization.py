@@ -198,6 +198,14 @@ class TestFoldSymmetric:
         with pytest.raises(NotSymmetricError):
             fold_symmetric(normalize([1, 1]))
 
+    def test_large_offset(self):
+        near = fold_symmetric(normalize([1, 2, 6, 2, 1], -2))
+        far = fold_symmetric(normalize([1, 2, 6, 2, 1], 10**20))
+        assert far.center_mass == near.center_mass == 0.5
+        assert far.max_violation == near.max_violation == 0
+        with pytest.raises(NotSymmetricError):
+            fold_symmetric(normalize([1, 4, 4, 1], 10**20))
+
 
 def _matched_decreasing(x, p):
     """x oriented non-increasing and its matched geometric comparator."""
