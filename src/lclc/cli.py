@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, NamedTuple, TextIO
 
-from . import entropy, inequalities, lyapunov, majorization, matching
+from . import entropy, inequalities, lattice, lyapunov, majorization, matching
 from .errors import (
     BadOrdersError,
     DomainError,
@@ -23,7 +23,7 @@ from .errors import (
     MissingParameterError,
     UnclassifiedError,
 )
-from .lattice import DEFAULT_TAIL_TOL, LatticePMF, Structure, Subject, pmf_from_json
+from .lattice import DEFAULT_TAIL_TOL, Condition, LatticePMF, Subject, pmf_from_json
 from .report import FAIL, NA, CheckReport, info
 
 DEFAULT_T_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -62,33 +62,16 @@ def _load_pmf(config: RunConfig) -> LatticePMF:
 # The check table.
 # ---------------------------------------------------------------------------
 
-Gate = tuple[Callable[[Subject], bool], str]
-
-
 class Check(NamedTuple):
-    """A table entry: the row an n/a entry writes; the hypotheses it needs,
-    each a predicate on the subject with the reason the row reads n/a when
-    it fails; and the evaluator, which calls the public check functions
-    through their modules, so a function rebound later is the one called.
-    A view that reads no pmf passes its evaluators no subject (None)."""
+    """A table entry: the row an n/a entry writes; the hypothesis conditions
+    its check functions leave out, required of the subject before them; and
+    the evaluator, which calls the public check functions through their
+    modules, so a function rebound later is the one called. A view that
+    reads no pmf passes its evaluators no subject (None)."""
 
     name: str
-    gates: tuple[Gate, ...]
+    requires: tuple[Condition, ...]
     rows: Callable[[Subject | None, dict[str, Any]], list[CheckReport]]
-
-
-def _log_concave(reason: str) -> Gate:
-    return (lambda s: s.log_concave, reason)
-
-
-_LC_CLASSIFIED = _log_concave("requires monotone or symmetric log-concave")
-_LC_MONOTONE = _log_concave("requires monotone log-concave")
-_MONOTONE: Gate = (lambda s: s.monotone, "asserted for monotone pmfs")
-_CLASSIFIED: Gate = (lambda s: s.structure is not None,
-                     "pmf is neither monotone nor symmetric")
-_MATCHABLE: Gate = (
-    lambda s: s.structure in (Structure.MONOTONE, Structure.INTEGER_SYMMETRIC),
-    "needs a monotone or integer-symmetric pmf")
 
 
 def _classification(s: Subject, params) -> list[CheckReport]:
@@ -179,14 +162,12 @@ def _constants(s: None, params) -> list[CheckReport]:
     return [info("C_constant", inequalities.C_constant(q, p), {"q": q, "p": p})]
 
 
-PHI_CONCAVITY = Check("phi_concavity", (_LC_CLASSIFIED, (
-    lambda s: s.structure in (Structure.MONOTONE, Structure.HALF_INTEGER_SYMMETRIC),
-    "asserted for monotone or half-integer-symmetric pmfs")), _concavity)
-CONCENTRATION = Check("concentration", (_LC_CLASSIFIED, _CLASSIFIED), _concentration)
-RENYI_GAP = Check("renyi_gap", (_LC_MONOTONE, _MONOTONE), lambda s, params: [
+PHI_CONCAVITY = Check("phi_concavity", (lattice.LC_CLASSIFIED, lattice.PHI_CLASS),
+                      _concavity)
+CONCENTRATION = Check("concentration", (lattice.LC_CLASSIFIED, lattice.CLASSIFIED),
+                      _concentration)
+RENYI_GAP = Check("renyi_gap", (lattice.LC_MONOTONE,), lambda s, params: [
     inequalities.check_renyi_gap(s, _param(params, "p"), _param(params, "q"))])
-# ungated: the epi and varentropy subcommands rely on the check function's
-# own guard, verify adds its gates
 EPI_REVERSAL = Check("epi_reversal", (), lambda s, params: [
     inequalities.epi_reversal_check(s, _param(params, "alpha"))])
 VARENTROPY_BOUND = Check("varentropy_bound", (), lambda s, params: [
@@ -197,16 +178,15 @@ VERIFY = (
     Check("h2_hinf_identity", (), lambda s, params: [
         inequalities.h2_hinf_identity_check(s)]),
     Check("cake_layer", (), lambda s, params: [majorization.cake_layer_check(s, 2.0)]),
-    Check("mean_mode", (_log_concave("requires a log-concave pmf"),),
-          lambda s, params: [inequalities.mean_mode_check(s)]),
+    Check("mean_mode", (), lambda s, params: [inequalities.mean_mode_check(s)]),
     PHI_CONCAVITY,
-    VARENTROPY_BOUND._replace(gates=(_LC_CLASSIFIED, _CLASSIFIED)),
+    VARENTROPY_BOUND,
     CONCENTRATION,
     RENYI_GAP,
-    EPI_REVERSAL._replace(gates=(_LC_MONOTONE, _MONOTONE)),
-    Check("renyi_dominance", (_LC_CLASSIFIED, _MATCHABLE, (
-        lambda s: s.pmf.support_size >= 2, "matching needs a non-degenerate pmf")),
-        _matching),
+    # verify asserts the reversal under the paper's hypothesis; the epi
+    # subcommand evaluates any monotone pmf, so a genuine violation fails
+    EPI_REVERSAL._replace(requires=(lattice.LC_MONOTONE,)),
+    Check("renyi_dominance", (lattice.LC_CLASSIFIED,), _matching),
 )
 # a non-log-concave pmf's n/a rows list renyi_gap before concentration
 _AT = VERIFY.index(CONCENTRATION)
@@ -226,9 +206,9 @@ VIEWS = {
     "varentropy": ((Check("varentropy", (), lambda s, params: [
         info("varentropy", entropy.varentropy(s.pmf))]), VARENTROPY_BOUND), NA, PMF),
     "phi": ((Check("phi", (), _phi), PHI_CONCAVITY), OMIT, PMF + ("t_grid",)),
-    "crossing": ((Check("crossing", (_LC_MONOTONE, _MONOTONE), _crossing),), REFUSE,
-                 PMF + ("p",)),
-    "match": ((Check("match", (_MATCHABLE,), _match),), REFUSE, PMF + ("p",)),
+    "crossing": ((Check("crossing", (lattice.LC_MONOTONE, lattice.MONOTONE),
+                        _crossing),), REFUSE, PMF + ("p",)),
+    "match": ((Check("match", (), _match),), REFUSE, PMF + ("p",)),
     "concentration": ((CONCENTRATION,), REFUSE, PMF + ("t_grid",)),
     "constants": ((Check("constants", (), _constants),), REFUSE, ("which", "p", "q")),
     "counterexample": ((Check("counterexample", (), lambda s, params: [
@@ -241,14 +221,12 @@ COMMANDS = tuple(VIEWS)
 
 def _evaluate(check: Check, s: Subject | None, params: dict[str, Any],
               policy: str) -> list[CheckReport]:
-    """The entry's rows, or what the policy writes for the first hypothesis
-    s fails, or for an order or class the check function itself refuses."""
-    reason = next((why for holds, why in check.gates if not holds(s)), None)
-    if reason is None:
-        try:
-            return check.rows(s, params)
-        except (BadOrdersError, UnclassifiedError) as exc:
-            reason = str(exc)
+    """The entry's rows, or what the policy writes for the first condition s
+    fails, the entry's or its check function's, or for a refused order."""
+    try:
+        return check.rows(s.require(*check.requires) if check.requires else s, params)
+    except (BadOrdersError, UnclassifiedError) as exc:
+        reason = str(exc)
     if policy == REFUSE:
         raise LatticeError(f"{check.name}: {reason}")
     if policy == OMIT:
@@ -347,7 +325,7 @@ def _emit(rows: list[CheckReport], config: RunConfig, stream: TextIO) -> None:
         return
     stream.write("check_name,lhs,rhs,margin,verdict,params\n")
     for d in dicts:
-        numbers = ["" if d[key] is None else repr(d[key]) for key in ("lhs", "rhs", "margin")]
+        numbers = ["" if d[key] is None else str(d[key]) for key in ("lhs", "rhs", "margin")]
         cells = [d["check_name"], *numbers, d["verdict"]]
         params = json.dumps(d["params"], sort_keys=True, separators=(",", ":"))
         cells.append('"' + params.replace('"', '""') + '"')

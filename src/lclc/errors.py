@@ -37,10 +37,6 @@ class OutOfSupportError(LatticeError):
     """Index carries no probability mass (information content is infinite)."""
 
 
-class DiracInputError(LatticeError):
-    """Operation is undefined for a point mass."""
-
-
 class NoBracketError(LatticeError):
     """Root finding could not bracket a sign change."""
 
@@ -49,20 +45,24 @@ class NoCrossingError(LatticeError):
     """The comparator dominates the sequence everywhere; crossing set is empty."""
 
 
-class NotSymmetricError(LatticeError):
-    """Operation requires a pmf symmetric about an integer."""
-
-
 class MeanMismatchError(LatticeError):
     """Convex-order check requires equal means."""
 
 
 class UnclassifiedError(LatticeError):
-    """The pmf is outside the structural classes the bound covers."""
+    """The pmf fails a hypothesis of the check: the base of each such error."""
 
 
-class NotMonotoneLogConcaveError(LatticeError):
+class NotMonotoneLogConcaveError(UnclassifiedError):
     """Operation requires a monotone log-concave pmf."""
+
+
+class NotSymmetricError(UnclassifiedError):
+    """The pmf is not symmetric about an integer."""
+
+
+class DiracInputError(UnclassifiedError):
+    """Operation is undefined for a point mass."""
 
 
 class BadOrdersError(LatticeError):

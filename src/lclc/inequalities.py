@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import entropy
-from .errors import BadOrdersError, NotMonotoneLogConcaveError, UnclassifiedError
+from . import entropy, lattice
+from .errors import BadOrdersError
 from .lattice import LatticePMF, Structure, as_subject
 from .optimize import golden_section_max
 from .report import CheckReport, from_margin
@@ -60,15 +60,13 @@ def gap_constant(p: float, q: float) -> float:
 def check_renyi_gap(x, p: float, q: float) -> CheckReport:
     """H_p(X) > H_q(X) + gap for p > q on monotone log-concave pmfs.
 
-    Non-monotone input raises NotMonotoneLogConcaveError; a log-concavity
-    failure is noted in the report instead, since the margin is still
-    well defined and informative.
+    Non-monotone input raises NotMonotoneLogConcaveError, before the
+    orders are checked; a log-concavity failure is noted in the report
+    instead, since the margin is still well defined and informative.
     """
+    s = as_subject(x).require(lattice.MONOTONE)
     if not p > q:
         raise BadOrdersError(f"needs p > q, got p={p}, q={q}")
-    s = as_subject(x)
-    if not s.monotone:
-        raise NotMonotoneLogConcaveError("the gap bound needs a monotone pmf")
     h_p, h_q = entropy.renyi(s.pmf, p), entropy.renyi(s.pmf, q)
     gap = gap_constant(p, q)
     margin = h_p - h_q - gap
@@ -110,11 +108,7 @@ def check_varentropy(x) -> CheckReport:
     symmetric-geometric laws. Anything else is not covered and raises
     UnclassifiedError.
     """
-    s = as_subject(x)
-    if not s.log_concave:
-        raise UnclassifiedError("varentropy bounds need a log-concave pmf")
-    if s.structure is None:
-        raise UnclassifiedError("pmf is neither monotone nor symmetric")
+    s = as_subject(x).require(lattice.LC_CLASSIFIED, lattice.CLASSIFIED)
     bound = class_constant(s)
     v = entropy.varentropy(s.pmf)
     return from_margin("varentropy_bound", v, bound, bound - v, 1e-9,
@@ -142,10 +136,7 @@ def mean_mode_check(x) -> CheckReport:
     log-affine interpolated form: e * f(floor)**(1-frac) * f(ceil)**frac
     >= max f, of which the headline inequality is a relaxation.
     """
-    s = as_subject(x)
-    if not s.log_concave:
-        raise UnclassifiedError("mean-mode bound needs a log-concave pmf")
-    x = s.pmf
+    x = as_subject(x).require(lattice.LOG_CONCAVE).pmf
     # relative to the offset, which the report adds once
     mean = float(np.dot(x.weights, np.arange(len(x), dtype=np.float64)))
     lo, hi = math.floor(mean), math.ceil(mean)
@@ -225,12 +216,11 @@ def check_concentration(x, t: float, side, K: float = 1.0) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def epi_reversal_check(x, alpha: float = 2.0) -> CheckReport:
-    """H_alpha(X - Y) <= H_alpha(X) + log 2 for iid monotone log-concave X, Y."""
+    """H_alpha(X - Y) <= H_alpha(X) + log 2 for iid monotone log-concave X, Y;
+    only monotonicity is required, so a pmf far from log-concave can fail."""
+    s = as_subject(x).require(lattice.MONOTONE)
     if not alpha >= 2.0:
         raise BadOrdersError(f"the reversal is asserted for alpha >= 2, got {alpha}")
-    s = as_subject(x)
-    if not s.monotone:
-        raise NotMonotoneLogConcaveError("the reversal needs a monotone pmf")
     lhs = entropy.renyi(s.self_difference, alpha)
     rhs = entropy.renyi(s.pmf, alpha) + math.log(2.0)
     return from_margin("epi_reversal", lhs, rhs, rhs - lhs, 1e-10,

@@ -4,7 +4,8 @@ Carriers and structural predicates for finite-support distributions:
 normalization, log-concavity, monotonicity, symmetry detection, moments,
 the law of a difference X - Y of independent variables, and controlled
 truncation of the two infinite parametric families (geometric and
-symmetric geometric) to finite support.
+symmetric geometric) to finite support, and the hypothesis conditions
+the checks require of a Subject.
 
 All values are immutable after construction and safe to share across
 threads; the only caller-visible state is the sampling seed. A Subject
@@ -15,8 +16,10 @@ as long as the subject lives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +29,12 @@ from .errors import (
     BadLambdaError,
     BadToleranceError,
     BadWeightsError,
+    DiracInputError,
     DomainError,
     NegativeWeightError,
+    NotMonotoneLogConcaveError,
+    NotSymmetricError,
+    UnclassifiedError,
 )
 
 DEFAULT_TAIL_TOL = 1e-15
@@ -241,6 +248,14 @@ class Subject:
             self._facts[key] = compute()
         return self._facts[key]
 
+    def require(self, *conditions: "Condition") -> "Subject":
+        """This subject if it meets every condition, else the first failing
+        condition's error, raised with its reason."""
+        for holds, reason, error in conditions:
+            if not holds(self):
+                raise error(reason)
+        return self
+
     @property
     def log_concave(self) -> bool:
         return self.fact("log_concave", lambda: is_log_concave(self.pmf))
@@ -296,6 +311,32 @@ class Subject:
             return m
 
         return self.fact("decreasing", mirror)
+
+
+# a hypothesis of a check: a predicate on the subject, the reason the check
+# reads n/a or is refused when it fails, and the error raised; each is
+# stated once, here, and a check function requires those it needs
+Condition = tuple[Callable[[Subject], bool], str, type[UnclassifiedError]]
+LOG_CONCAVE = (lambda s: s.log_concave, "requires a log-concave pmf", UnclassifiedError)
+LC_MONOTONE = (lambda s: s.log_concave, "requires monotone log-concave",
+               NotMonotoneLogConcaveError)
+LC_CLASSIFIED = (lambda s: s.log_concave, "requires monotone or symmetric log-concave",
+                 UnclassifiedError)
+MONOTONE = (lambda s: s.monotone, "asserted for monotone pmfs", NotMonotoneLogConcaveError)
+NON_INCREASING = (lambda s: s.direction in (Direction.DECREASING, Direction.BOTH),
+                  "crossing requires a non-increasing pmf", NotMonotoneLogConcaveError)
+CLASSIFIED = (lambda s: s.structure is not None, "pmf is neither monotone nor symmetric",
+              UnclassifiedError)
+PHI_CLASS = (
+    lambda s: s.structure in (Structure.MONOTONE, Structure.HALF_INTEGER_SYMMETRIC),
+    "asserted for monotone or half-integer-symmetric pmfs", UnclassifiedError)
+MATCHABLE = (
+    lambda s: s.structure in (Structure.MONOTONE, Structure.INTEGER_SYMMETRIC),
+    "needs a monotone or integer-symmetric pmf", UnclassifiedError)
+NON_DEGENERATE = (lambda s: s.pmf.support_size >= 2, "matching needs a non-degenerate pmf",
+                  DiracInputError)
+INTEGER_SYMMETRIC = (lambda s: s.integer_symmetric,
+                     "requires a pmf symmetric about an integer", NotSymmetricError)
 
 
 def as_subject(x) -> Subject:
@@ -403,10 +444,14 @@ def pmf_from_json(doc: dict, tail_tol: float = DEFAULT_TAIL_TOL) -> LatticePMF:
 
 
 def _integer_offset(value) -> int:
-    """The document's offset; integral numbers only, never rounded."""
+    """The document's offset: an integral number, never rounded, that a
+    float can hold, since the symmetry center and the mean are floats."""
     try:
-        if not isinstance(value, bool) and int(value) == value:
-            return int(value)
+        integral = not isinstance(value, bool) and int(value) == value
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise BadDocumentError(f"offset must be an integer, got {value!r}")
+        integral = False
+    if not integral:
+        raise BadDocumentError(f"offset must be an integer, got {value!r}")
+    if abs(value) > sys.float_info.max:
+        raise BadDocumentError("offset must be an integer that a float can hold")
+    return int(value)

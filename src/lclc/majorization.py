@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import power_sum
-from .errors import (
-    DomainError,
-    MeanMismatchError,
-    NoCrossingError,
-    NotMonotoneLogConcaveError,
-    NotSymmetricError,
-)
-from .lattice import Direction, LatticePMF, Subject, as_subject
+from .errors import DomainError, MeanMismatchError, NoCrossingError
+from .lattice import INTEGER_SYMMETRIC, NON_INCREASING, LatticePMF, Subject, as_subject
 from .report import CheckReport, from_margin
 
 HINGE_TOL = 1e-10
@@ -294,10 +288,7 @@ def crossing_interval(x, z: GeometricSequence) -> CrossingResult:
     log-concave as well as non-increasing; only monotonicity is enforced
     here. Raises NoCrossingError when the comparator dominates x everywhere.
     """
-    s = as_subject(x)
-    if s.direction not in (Direction.DECREASING, Direction.BOTH):
-        raise NotMonotoneLogConcaveError("crossing requires a non-increasing pmf")
-    w = s.pmf.weights
+    w = as_subject(x).require(NON_INCREASING).pmf.weights
     zv = z.value(np.arange(len(w)))
     above = np.flatnonzero(w >= zv)
     if above.size == 0:
@@ -384,9 +375,7 @@ class SymmetricFold:
 def fold_symmetric(x) -> SymmetricFold:
     """Fold an integer-symmetric pmf onto the half line and verify the
     identity relating the two level counts below the central mass."""
-    s = as_subject(x)
-    if not s.integer_symmetric:
-        raise NotSymmetricError("requires a pmf symmetric about an integer")
+    s = as_subject(x).require(INTEGER_SYMMETRIC)
     w = s.pmf.weights
     center_idx = (len(w) - 1) // 2
     center_mass = float(w[center_idx])

@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass
 
 from . import entropy
-from .errors import BadOrdersError, DiracInputError, NoBracketError, UnclassifiedError
-from .lattice import LatticePMF, Structure, as_subject
+from .errors import BadOrdersError, NoBracketError
+from .lattice import MATCHABLE, NON_DEGENERATE, LatticePMF, Structure, as_subject
 from .optimize import bisect_root
 from .report import CheckReport
 
@@ -31,11 +31,10 @@ class MatchResult:
 
 
 def _solve(log_psi, x: LatticePMF, p: float) -> MatchResult:
+    x = as_subject(x).require(NON_DEGENERATE).pmf
     p = float(p)
     if not p > 0.0 or p == 1.0 or math.isinf(p):
         raise BadOrdersError(f"matching order must be finite, positive and != 1, got {p}")
-    if x.support_size == 1:
-        raise DiracInputError("cannot match a point mass with an open-parameter law")
     log_target = entropy.log_power_sum(x, p)
     root, iterations = bisect_root(lambda lam: log_psi(lam, p) - log_target,
                                    _BRACKET_LO, _BRACKET_HI,
@@ -74,14 +73,12 @@ def match_comparator(x, p: float) -> tuple[str, MatchResult]:
     other raises UnclassifiedError. x is a LatticePMF or a Subject, and a
     subject solves each order once.
     """
-    s = as_subject(x)
+    s = as_subject(x).require(MATCHABLE)
 
     def solve() -> tuple[str, MatchResult]:
         if s.structure is Structure.MONOTONE:
             return "geometric", match_geometric(s.pmf, p)
-        if s.structure is Structure.INTEGER_SYMMETRIC:
-            return "symmetric_geometric", match_symmetric_geometric(s.pmf, p)
-        raise UnclassifiedError("matching needs a monotone or integer-symmetric pmf")
+        return "symmetric_geometric", match_symmetric_geometric(s.pmf, p)
 
     return s.fact(("match", p), solve)
 

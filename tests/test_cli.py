@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lclc import inequalities, matching
 from lclc.cli import (COMMANDS, DEFAULT_T_GRID, FLAGS, VIEWS, RunConfig, classify,
                       main, run)
+from lclc.errors import UnclassifiedError
 from lclc.lattice import Direction, materialize, normalize, ParametricLaw
 
 
@@ -183,7 +185,18 @@ MALFORMED += [
     ("boolean_weights", "verify", {"offset": 0, "weights": [True, False]}, [], {}),
     ("support_above_limit", "verify", None, ["--law", "geometric", "--lambda", "0.999999"],
      {"law": "geometric", "lam": 0.999999}),
+    ("text_lambda", "verify", {"law": "geometric", "lambda": "abc"}, [], {}),
+    ("list_lambda", "verify", {"law": "geometric", "lambda": [0.5]}, [], {}),
+    ("null_lambda", "verify", {"law": "geometric", "lambda": None}, [], {}),
+    ("null_offset", "verify", {"offset": None, "weights": [0.5, 0.5]}, [], {}),
+    ("text_offset", "verify", {"offset": "3", "weights": [0.5, 0.5]}, [], {}),
+    ("infinite_offset", "verify", {"offset": 1e400, "weights": [0.5, 0.5]}, [], {}),
 ]
+
+# an offset whose float overflows: the symmetry center and the mean are floats
+for _command in ("verify", "entropy"):
+    MALFORMED.append((f"{_command}_offset_beyond_float", _command,
+                      {"offset": 10**400, "weights": [0.2, 0.6, 0.2]}, [], {}))
 
 # counterexample needs finite --lambda and --gamma whose comparison does
 # not overflow
@@ -219,6 +232,7 @@ UNPARSABLE = [
     ["entropy"] + _LAW_ARGV + ["--p", "abc"],
     ["verify", "--law", "poisson", "--lambda", "0.5"],
     ["verify"] + _LAW_ARGV + ["--format", "xml"],
+    ["phi"] + _LAW_ARGV + ["--t-grid", "abc"],
 ]
 
 # a single-check subcommand refuses an order its check does not cover
@@ -309,11 +323,12 @@ class TestUsageErrors:
 
 
 def _rows(argv, capsys):
-    """Exit code and (check_name, verdict, n/a reason) per row of one run."""
+    """Exit code and (check_name, verdict, n/a reason) per row of one run,
+    or the error line of a refused run."""
     code = main(argv + ["--format", "json"])
-    out, _ = capsys.readouterr()
+    out, err = capsys.readouterr()
     if code == 2:
-        return code, []
+        return code, err
     return code, [(r["check_name"], r["verdict"],
                    r["params"]["reason"] if r["verdict"] == "n/a" else None)
                   for r in json.loads(out)]
@@ -357,14 +372,18 @@ class TestPerCheckOrders:
 
 
 # Row contract: exit code and (check_name, verdict, n/a reason) rows of
-# verify and of every subcommand that reads a pmf, one structural class per
-# test. The expectations follow from each check's hypotheses.
+# verify and of every subcommand that reads a pmf, or the error line of a
+# refusal, one structural class per test. The expectations follow from each
+# check's hypotheses, and a refusal names the entry and gives verify's
+# reason for the hypothesis that failed.
+LOG_CONCAVE = "requires a log-concave pmf"
 LC_CLASSIFIED = "requires monotone or symmetric log-concave"
 LC_MONOTONE = "requires monotone log-concave"
 PHI_CLASS = "asserted for monotone or half-integer-symmetric pmfs"
 MONOTONE_ONLY = "asserted for monotone pmfs"
 UNCLASSIFIED = "pmf is neither monotone nor symmetric"
 NOT_MATCHABLE = "needs a monotone or integer-symmetric pmf"
+DEGENERATE = "matching needs a non-degenerate pmf"
 
 HEAD = [("classification", "info", None), ("h2_hinf_identity", "pass", None),
         ("cake_layer", "pass", None)]
@@ -376,11 +395,14 @@ ENTROPY = [("shannon_entropy", "info", None), ("min_entropy", "info", None),
 PASS = {name: (name, "pass", None) for name in (
     "mean_mode", "phi_concavity", "varentropy_bound", "renyi_gap", "epi_reversal",
     "crossing_pattern", "renyi_dominance")}
-REFUSED = (2, [])
 
 
 def _na(name, reason):
     return (name, "n/a", reason)
+
+
+def _refused(entry, reason):
+    return (2, f"error: {entry}: {reason}\n")
 
 
 def _monotone_contract():
@@ -414,10 +436,10 @@ ROW_CONTRACT = {
         "entropy": (0, ENTROPY),
         "varentropy": (0, [("varentropy", "info", None), PASS["varentropy_bound"]]),
         "phi": (0, PHI),
-        "crossing": REFUSED,
+        "crossing": _refused("crossing", MONOTONE_ONLY),
         "match": (0, [("match_lambda", "info", None)]),
         "concentration": (0, CONCENTRATION),
-        "epi": REFUSED,
+        "epi": _refused("epi_reversal", MONOTONE_ONLY),
     }),
     "half_integer_symmetric": ({"offset": -1, "weights": [0.1, 0.4, 0.4, 0.1]}, {
         "verify": (0, HEAD + [PASS["mean_mode"], PASS["phi_concavity"],
@@ -427,10 +449,10 @@ ROW_CONTRACT = {
         "entropy": (0, ENTROPY),
         "varentropy": (0, [("varentropy", "info", None), PASS["varentropy_bound"]]),
         "phi": (0, PHI + [PASS["phi_concavity"]]),
-        "crossing": REFUSED,
-        "match": REFUSED,
+        "crossing": _refused("crossing", MONOTONE_ONLY),
+        "match": _refused("match", NOT_MATCHABLE),
         "concentration": (0, CONCENTRATION),
-        "epi": REFUSED,
+        "epi": _refused("epi_reversal", MONOTONE_ONLY),
     }),
     "asymmetric_log_concave": ({"offset": 1, "weights": [0.1, 0.4, 0.3, 0.15, 0.05]}, {
         "verify": (0, HEAD + [PASS["mean_mode"], _na("phi_concavity", PHI_CLASS),
@@ -443,14 +465,14 @@ ROW_CONTRACT = {
         "varentropy": (0, [("varentropy", "info", None),
                            _na("varentropy_bound", UNCLASSIFIED)]),
         "phi": (0, PHI),
-        "crossing": REFUSED,
-        "match": REFUSED,
-        "concentration": REFUSED,
-        "epi": REFUSED,
+        "crossing": _refused("crossing", MONOTONE_ONLY),
+        "match": _refused("match", NOT_MATCHABLE),
+        "concentration": _refused("concentration", UNCLASSIFIED),
+        "epi": _refused("epi_reversal", MONOTONE_ONLY),
     }),
     # renyi_gap comes before concentration here, after it when log-concave
     "non_log_concave": ({"offset": 0, "weights": [0.4, 0.1, 0.3, 0.2]}, {
-        "verify": (0, HEAD + [_na("mean_mode", "requires a log-concave pmf"),
+        "verify": (0, HEAD + [_na("mean_mode", LOG_CONCAVE),
                               _na("phi_concavity", LC_CLASSIFIED),
                               _na("varentropy_bound", LC_CLASSIFIED),
                               _na("renyi_gap", LC_MONOTONE),
@@ -459,24 +481,24 @@ ROW_CONTRACT = {
                               _na("renyi_dominance", LC_CLASSIFIED)]),
         "entropy": (0, ENTROPY),
         "varentropy": (0, [("varentropy", "info", None),
-                           _na("varentropy_bound", "varentropy bounds need a log-concave pmf")]),
+                           _na("varentropy_bound", LC_CLASSIFIED)]),
         "phi": (0, PHI),
-        "crossing": REFUSED,
-        "match": REFUSED,
-        "concentration": REFUSED,
-        "epi": REFUSED,
+        "crossing": _refused("crossing", LC_MONOTONE),
+        "match": _refused("match", NOT_MATCHABLE),
+        "concentration": _refused("concentration", LC_CLASSIFIED),
+        "epi": _refused("epi_reversal", MONOTONE_ONLY),
     }),
     # monotone, log-concave and symmetric, but no comparator matches it
     "point_mass": ({"offset": 4, "weights": [1.0]}, {
         "verify": (0, HEAD + [PASS["mean_mode"], PASS["phi_concavity"],
                               PASS["varentropy_bound"]] + CONCENTRATION
                    + [PASS["renyi_gap"], PASS["epi_reversal"],
-                      _na("renyi_dominance", "matching needs a non-degenerate pmf")]),
+                      _na("renyi_dominance", DEGENERATE)]),
         "entropy": (0, ENTROPY),
         "varentropy": (0, [("varentropy", "info", None), PASS["varentropy_bound"]]),
         "phi": (0, PHI + [PASS["phi_concavity"]]),
-        "crossing": REFUSED,
-        "match": REFUSED,
+        "crossing": _refused("crossing", DEGENERATE),
+        "match": _refused("match", DEGENERATE),
         "concentration": (0, CONCENTRATION),
         "epi": (0, [PASS["epi_reversal"]]),
     }),
@@ -502,6 +524,40 @@ def test_row_contract(tmp_path, capsys, klass):
     for command, expected in contract.items():
         code, rows = _rows([command, "--input", path], capsys)
         assert (code, rows) == expected, command
+
+
+def _weights(klass):
+    return normalize(ROW_CONTRACT[klass][0]["weights"])
+
+
+# the library's check functions refuse a row-contract class with the error
+# and the words verify writes for it; the hypothesis comes before the order
+LIBRARY_REFUSALS = {
+    "renyi_gap": (lambda: inequalities.check_renyi_gap(
+        _weights("integer_symmetric"), 1.0, 1.0), MONOTONE_ONLY),
+    "epi_reversal": (lambda: inequalities.epi_reversal_check(
+        _weights("half_integer_symmetric"), 1.5), MONOTONE_ONLY),
+    "varentropy_not_log_concave": (lambda: inequalities.check_varentropy(
+        _weights("non_log_concave")), LC_CLASSIFIED),
+    "varentropy_unclassified": (lambda: inequalities.check_varentropy(
+        _weights("asymmetric_log_concave")), UNCLASSIFIED),
+    "mean_mode": (lambda: inequalities.mean_mode_check(_weights("non_log_concave")),
+                  LOG_CONCAVE),
+    "match_comparator": (lambda: matching.match_comparator(
+        _weights("half_integer_symmetric"), 2.0), NOT_MATCHABLE),
+    "match_geometric": (lambda: matching.match_geometric(_weights("point_mass"), 1.0),
+                        DEGENERATE),
+    "renyi_dominance": (lambda: matching.renyi_dominance_report(
+        _weights("point_mass"), 2.0), DEGENERATE),
+}
+
+
+@pytest.mark.parametrize("check", LIBRARY_REFUSALS)
+def test_library_refusal_reads_as_verify(check):
+    call, reason = LIBRARY_REFUSALS[check]
+    with pytest.raises(UnclassifiedError) as exc:
+        call()
+    assert str(exc.value) == reason
 
 
 # (module, function) pairs whose calls one verify must make exactly once
@@ -672,4 +728,7 @@ def test_extreme_orders_take_their_limits(tmp_path, capsys):
         assert main(["phi", "--input", path, "--t-grid", "1e308", "--format", "json"]) == 0
         phi = json.loads(capsys.readouterr().out)[0]
         assert phi["lhs"] == "-inf" and phi["params"]["phi2"] == 0.0
+        # CSV writes an infinite cell bare, as it writes a finite one
+        assert main(["phi", "--input", path, "--t-grid", "1e308"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("phi,-inf,,,info,")
         assert main(["verify"] + _LAW_ARGV + ["--alpha", "1e308"]) == 0

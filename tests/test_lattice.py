@@ -7,13 +7,21 @@ from hypothesis import strategies as st
 
 from lclc.errors import (
     AllZeroError,
+    BadDocumentError,
     BadLambdaError,
     BadToleranceError,
     BadWeightsError,
+    DiracInputError,
     DomainError,
     NegativeWeightError,
+    NotMonotoneLogConcaveError,
+    UnclassifiedError,
 )
 from lclc.lattice import (
+    LC_MONOTONE,
+    MATCHABLE,
+    MONOTONE,
+    NON_DEGENERATE,
     Direction,
     LatticePMF,
     ParametricLaw,
@@ -273,6 +281,15 @@ class TestJsonInput:
             with pytest.raises(BadWeightsError):
                 pmf_from_json({"weights": weights})
 
+    def test_offset_must_fit_a_float(self):
+        # the symmetry center and the mean are floats, so an offset whose
+        # float overflows is refused, in a message without its digits
+        assert pmf_from_json({"offset": 2**1000, "weights": [1, 2, 1]}).offset == 2**1000
+        for offset in (10**400, -(10**400)):
+            with pytest.raises(BadDocumentError) as exc:
+                pmf_from_json({"offset": offset, "weights": [1, 2, 1]})
+            assert str(exc.value) == "offset must be an integer that a float can hold"
+
 
 class TestSubject:
     def test_structure_ladder(self):
@@ -291,6 +308,22 @@ class TestSubject:
                 is Structure.HALF_INTEGER_SYMMETRIC, offset
             assert Subject(normalize([1, 3, 1], offset)).structure \
                 is Structure.INTEGER_SYMMETRIC, offset
+
+    def test_require_returns_the_subject_or_the_first_failure(self):
+        s = Subject(normalize([5, 3, 1]))
+        assert s.require() is s and s.require(LC_MONOTONE, MONOTONE, MATCHABLE) is s
+        # [4, 1, 3] fails log-concavity first, then monotonicity
+        for conditions, error, reason in (
+                ((LC_MONOTONE, MONOTONE), NotMonotoneLogConcaveError,
+                 "requires monotone log-concave"),
+                ((MONOTONE, LC_MONOTONE), NotMonotoneLogConcaveError,
+                 "asserted for monotone pmfs"),
+                ((MATCHABLE,), UnclassifiedError, "needs a monotone or integer-symmetric pmf")):
+            with pytest.raises(error) as exc:
+                Subject(normalize([4, 1, 3])).require(*conditions)
+            assert str(exc.value) == reason and type(exc.value) is error
+        with pytest.raises(DiracInputError, match="^matching needs a non-degenerate pmf$"):
+            Subject(normalize([1.0])).require(MONOTONE, NON_DEGENERATE)
 
     def test_coercion(self):
         x = normalize([5, 3, 2])
