@@ -63,7 +63,6 @@ from .lyapunov import (
 from .majorization import (
     CrossingResult,
     GeometricSequence,
-    Interval,
     LevelCount,
     PowerDensity,
     SymmetricFold,

@@ -110,7 +110,7 @@ def _match(s: Subject, params) -> list[CheckReport]:
 
 def _crossing_pattern(s: Subject, lam: float) -> CheckReport:
     z = majorization.GeometricSequence(1.0 - lam, lam)
-    return majorization.crossing_verify(s.decreasing, z)
+    return majorization.crossing_verify(s, z)
 
 
 def _matching(s: Subject, params) -> list[CheckReport]:

@@ -104,12 +104,19 @@ def info_summary(x: LatticePMF) -> InfoSummary:
 
 
 def tilt(x: LatticePMF, alpha: float) -> LatticePMF:
-    """Exponential tilt: pmf proportional to x_i**alpha, alpha > 0."""
+    """Exponential tilt: pmf proportional to x_i**alpha, alpha > 0.
+
+    A product alpha * log x_i below the float range is -inf, as in
+    log_power_sum_of_logs; when every product is, the tilt is its
+    alpha -> inf limit, the uniform law on the largest masses."""
     if not alpha > 0.0:
         raise ValueError(f"tilt exponent must be positive, got {alpha}")
-    logs = x.log_weights()
-    s = alpha * logs
-    m = float(s[np.isfinite(s)].max())
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * log 1 is NaN
+        s = alpha * x.log_weights()
+    finite = s[np.isfinite(s)]
+    if finite.size == 0:
+        return normalize(x.weights == x.max_weight, x.offset)
+    m = float(finite.max())
     with np.errstate(invalid="ignore"):
         w = np.exp(s - m)  # exp(-inf) = 0 keeps zero-mass indices at zero
     return normalize(w, x.offset)

@@ -109,7 +109,7 @@ class LatticePMF:
             raise ValueError("weights must be trimmed: endpoints positive")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", _float_sized_offset(self.offset))
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -143,6 +143,19 @@ class LatticePMF:
     def reversed(self) -> "LatticePMF":
         """Law of -X; value multiset (hence all entropies) unchanged."""
         return LatticePMF(-(self.offset + len(self) - 1), self.weights[::-1])
+
+
+def _float_sized_offset(offset) -> int:
+    """int(offset), refused unless a float can hold it, since the symmetry
+    center and the mean are floats."""
+    try:
+        offset = int(offset)
+        fits = abs(offset) <= sys.float_info.max
+    except (TypeError, ValueError, OverflowError):
+        fits = False
+    if not fits:
+        raise DomainError("offset must be an integer that a float can hold")
+    return offset
 
 
 def _checked_weights(weights) -> np.ndarray:
@@ -233,9 +246,9 @@ def symmetry_center(x: LatticePMF, abs_tol: float = _SYMMETRY_TOL) -> float | No
 class Subject:
     """A pmf and the facts the checks derive from it, each computed at most
     once: the structural predicates, the law of X - Y for iid X, Y ~ x, and
-    what a check caches through fact(). Every fact depends only on the
-    multiset of masses or on the law of X - Y, so the subject of -X shares
-    all but the direction. A subject lives for one run or one check call;
+    what a check caches through fact(). Every fact but the direction
+    depends only on the multiset of masses or on the law of X - Y, so it
+    holds for -X as well. A subject lives for one run or one check call;
     the pmf stays a pure value."""
 
     def __init__(self, pmf: LatticePMF):
@@ -298,20 +311,6 @@ class Subject:
             return Structure.INTEGER_SYMMETRIC
         return None
 
-    @property
-    def decreasing(self) -> "Subject":
-        """This subject when x is non-increasing, else the subject of -X,
-        made once and given the facts known so far."""
-        if self.direction is not Direction.INCREASING:
-            return self
-
-        def mirror() -> Subject:
-            m = Subject(self.pmf.reversed())
-            m._facts.update(self._facts, direction=Direction.DECREASING)
-            return m
-
-        return self.fact("decreasing", mirror)
-
 
 # a hypothesis of a check: a predicate on the subject, the reason the check
 # reads n/a or is refused when it fails, and the error raised; each is
@@ -323,8 +322,6 @@ LC_MONOTONE = (lambda s: s.log_concave, "requires monotone log-concave",
 LC_CLASSIFIED = (lambda s: s.log_concave, "requires monotone or symmetric log-concave",
                  UnclassifiedError)
 MONOTONE = (lambda s: s.monotone, "asserted for monotone pmfs", NotMonotoneLogConcaveError)
-NON_INCREASING = (lambda s: s.direction in (Direction.DECREASING, Direction.BOTH),
-                  "crossing requires a non-increasing pmf", NotMonotoneLogConcaveError)
 CLASSIFIED = (lambda s: s.structure is not None, "pmf is neither monotone nor symmetric",
               UnclassifiedError)
 PHI_CLASS = (
@@ -444,14 +441,11 @@ def pmf_from_json(doc: dict, tail_tol: float = DEFAULT_TAIL_TOL) -> LatticePMF:
 
 
 def _integer_offset(value) -> int:
-    """The document's offset: an integral number, never rounded, that a
-    float can hold, since the symmetry center and the mean are floats."""
+    """The document's offset: an integral number, never rounded."""
     try:
         integral = not isinstance(value, bool) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
         raise BadDocumentError(f"offset must be an integer, got {value!r}")
-    if abs(value) > sys.float_info.max:
-        raise BadDocumentError("offset must be an integer that a float can hold")
     return int(value)

@@ -3,11 +3,11 @@ comparators, the layer-cake identity, half-line folding of symmetric pmfs,
 and convex-order verification through hinge functions.
 
 The level-count function F_x(t) = #{i : x_i > t} of a probability sequence
-is itself a probability density on (0, inf); for a non-increasing
-log-concave x and a geometric comparator z the two step functions cross
-exactly twice, which is what drives the power-sum comparisons. Every
-integral here is evaluated segment-analytically, never by quadrature. The
-checks take a LatticePMF or a Subject, whose cached facts they read.
+is itself a probability density on (0, inf); for a monotone log-concave
+x and a geometric comparator z the two step functions cross exactly
+twice, which is what drives the power-sum comparisons. Every integral
+here is evaluated segment-analytically, never by quadrature. The checks
+take a LatticePMF or a Subject, whose cached facts they read.
 """
 
 from __future__ import annotations
@@ -19,22 +19,11 @@ import numpy as np
 
 from .entropy import power_sum
 from .errors import DomainError, MeanMismatchError, NoCrossingError
-from .lattice import INTEGER_SYMMETRIC, NON_INCREASING, LatticePMF, Subject, as_subject
+from .lattice import INTEGER_SYMMETRIC, MONOTONE, Direction, LatticePMF, Subject, as_subject
 from .report import CheckReport, from_margin
 
 HINGE_TOL = 1e-10
 MEAN_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Half-open interval [lo, hi); empty when lo >= hi."""
-
-    lo: float
-    hi: float
-
-    def __contains__(self, t: float) -> bool:
-        return self.lo <= t < self.hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,37 +52,20 @@ class LevelCount:
     def _pieces(self):
         """segments() and the tail masses G_k = int_{e_k}^inf F, G_K = 0."""
         edges, c = self.segments()
-        return edges, c, _suffix_sum(c * np.diff(edges))
-
-    def _hinge_table(self):
-        """_pieces() plus H_k = E[(U - e_k)+], with H_K = 0.
-
-        H is a suffix sum of the non-negative piece terms
-        c_k w_k**2 / 2 + w_k G_{k+1}; the form sum c (hi**2 - lo**2) / 2
-        - t sum c (hi - lo) would cancel catastrophically near the top.
-        """
-        edges, c, tail = self._pieces()
-        w = np.diff(edges)
-        return edges, c, tail, _suffix_sum(c * w * w / 2.0 + w * tail[1:])
+        return edges, c, _suffix_sum(c * (edges[1:] - edges[:-1]))
 
     def mass(self) -> float:
         """Total integral of F; equals 1 when built from a probability pmf."""
         return float(self._pieces()[2][0])
 
     def mean(self) -> float:
-        """Mean of the density F: integral of t F(t) dt."""
-        return float(self._hinge_table()[3][0])
+        """Mean of the density F: integral of t F(t) dt, that of power(1)."""
+        return self.power(1.0).mean()
 
     def hinge_expectation(self, t):
         """E[(U - t)+] for U distributed with density F, at a scalar t or
-        elementwise over an array of them."""
-        edges, c, tail, hinge = self._hinge_table()
-
-        def partial(k, t):
-            r = edges[k + 1] - t
-            return c[k] * r * r / 2.0
-
-        return _hinge_lookup(t, edges, tail, hinge, partial)
+        elementwise over an array of them: the values of power(1)."""
+        return self.power(1.0).hinge_expectation(t)
 
     def power(self, p: float) -> "PowerDensity":
         return PowerDensity(self, p)
@@ -130,22 +102,35 @@ class PowerDensity:
         edges, c, tail = self.base._pieces()
         knots = edges ** p
         pieces = _power_piece(c, edges[1:], edges[:-1], knots[:-1], p)
-        return edges, c, tail, knots, _suffix_sum(pieces + np.diff(knots) * tail[1:])
+        pieces += (knots[1:] - knots[:-1]) * tail[1:]
+        return edges, c, tail, knots, _suffix_sum(pieces)
 
     def mean(self) -> float:
         """E[U**p]."""
         return float(self._hinge_table()[4][0])
 
     def hinge_expectation(self, t):
-        """E[(U**p - t)+] at a scalar t or elementwise over an array; the
-        piece holding t**(1/p) is integrated in closed form."""
+        """E[(U**p - t)+] at a scalar t or elementwise over an array.
+
+        Scalar and array t take the same elementwise path, so a scalar result
+        equals the array element bitwise. t <= 0 gives mean - t * mass and
+        t >= tau_K gives 0; a NaN t gives NaN. Between, the value is the
+        table entry at the knot above t plus the piece holding t**(1/p),
+        integrated in closed form.
+        """
         p = self.exponent
         edges, c, tail, knots, hinge = self._hinge_table()
-
-        def partial(k, t):
-            return _power_piece(c[k], edges[k + 1], t ** (1.0 / p), t, p)
-
-        return _hinge_lookup(t, knots, tail, hinge, partial)
+        t = np.asarray(t, dtype=np.float64)
+        flat = t.reshape(-1)
+        # the piece formula is evaluated at t clamped into [0, tau_K]; the
+        # regions outside take their own closed forms below
+        inner = np.clip(flat, 0.0, knots[-1])
+        k = np.minimum(np.searchsorted(knots, inner, side="right"), knots.size - 1) - 1
+        inside = (hinge[k + 1] + (knots[k + 1] - inner) * tail[k + 1]
+                  + _power_piece(c[k], edges[k + 1], inner ** (1.0 / p), inner, p))
+        values = np.where(flat <= 0.0, hinge[0] - flat * tail[0],
+                          np.where(flat >= knots[-1], 0.0, inside))
+        return values.reshape(t.shape)[()]
 
     def power(self, q: float) -> "PowerDensity":
         return PowerDensity(self.base, self.exponent * q)
@@ -157,30 +142,15 @@ def _suffix_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _power_piece(c, hi, cut, t, p: float):
-    """c * int_cut^hi (u**p - t) du, in closed form."""
-    return c * ((hi ** (p + 1.0) - cut ** (p + 1.0)) / (p + 1.0) - t * (hi - cut))
+    """c * int_cut^hi (u**p - t) du for t = cut**p, in closed form.
 
-
-def _hinge_lookup(t, knots, tail, hinge, partial):
-    """E[(V - t)+] for a scalar or an array t, from V's knots
-    tau_0 = 0 < ... < tau_K, the tables tail[k] = P(V > tau_k) and
-    hinge[k] = E[(V - tau_k)+], and partial(k, t), the part of piece k
-    above t, for tau_k <= t < tau_{k+1}.
-
-    Scalar and array t take the same elementwise path, so a scalar result
-    equals the array element bitwise. t <= 0 gives mean - t * mass and
-    t >= tau_K gives 0; a NaN t gives NaN.
+    At p = 1 it is c r**2 / 2 with r = hi - cut, whose terms are all
+    non-negative; the general form cancels catastrophically near the top.
     """
-    t = np.asarray(t, dtype=np.float64)
-    flat = t.reshape(-1)
-    # the piece formula is evaluated at t clamped into [0, tau_K]; the
-    # regions outside take their own closed forms below
-    inner = np.clip(flat, 0.0, knots[-1])
-    k = np.minimum(np.searchsorted(knots, inner, side="right"), knots.size - 1) - 1
-    inside = hinge[k + 1] + (knots[k + 1] - inner) * tail[k + 1] + partial(k, inner)
-    values = np.where(flat <= 0.0, hinge[0] - flat * tail[0],
-                      np.where(flat >= knots[-1], 0.0, inside))
-    return values.reshape(t.shape)[()]
+    if p == 1.0:
+        r = hi - cut
+        return c * r * r / 2.0
+    return c * ((hi ** (p + 1.0) - cut ** (p + 1.0)) / (p + 1.0) - t * (hi - cut))
 
 
 def _level_count_of(values: np.ndarray) -> LevelCount:
@@ -265,37 +235,39 @@ class GeometricSequence:
 
 @dataclass(frozen=True)
 class CrossingResult:
-    """Crossing set [a, b] of {k : x_k >= z_k} and the interval I = [z_b, x_a).
+    """Crossing set [a, b] of {k : x_k >= z_k} and the interval [lo, hi) =
+    [z_b, x_a) of thresholds on which F_z sits below F_x.
 
-    Indices are relative to the start of the pmf's stored support.
-    b_at_horizon marks the crossing set reaching the final stored index, the
-    truncated stand-in for an unbounded crossing set, in which case z_b is
-    the comparator value at the horizon.
+    Indices count from the mode: from the start of the pmf's stored
+    support when x is non-increasing, from its end when x is increasing.
     """
 
     first_index: int
     last_index: int
-    interval: Interval
-    b_at_horizon: bool
+    lo: float
+    hi: float
 
 
 def crossing_interval(x, z: GeometricSequence) -> CrossingResult:
     """Locate the threshold interval on which F_z sits below F_x.
 
-    With a = min{k : x_k >= z_k} and b = max{k : x_k >= z_k} (k counted from
-    the start of x's support), the interval is I = [z_b, x_a); F_z <= F_x on
-    I and F_z >= F_x off I. The two-crossing guarantee presumes x is
-    log-concave as well as non-increasing; only monotonicity is enforced
-    here. Raises NoCrossingError when the comparator dominates x everywhere.
+    With x read from its mode (an increasing x reversed, which leaves F_x
+    unchanged), a = min{k : x_k >= z_k} and b = max{k : x_k >= z_k}, the
+    interval is [z_b, x_a); F_z <= F_x on it and F_z >= F_x off it. The
+    two-crossing guarantee presumes x is log-concave as well as monotone;
+    only monotonicity is enforced here. Raises NoCrossingError when the
+    comparator dominates x everywhere.
     """
-    w = as_subject(x).require(NON_INCREASING).pmf.weights
+    s = as_subject(x).require(MONOTONE)
+    w = s.pmf.weights
+    if s.direction is Direction.INCREASING:
+        w = w[::-1]
     zv = z.value(np.arange(len(w)))
     above = np.flatnonzero(w >= zv)
     if above.size == 0:
         raise NoCrossingError("x is everywhere below the comparator")
     a, b = int(above[0]), int(above[-1])
-    interval = Interval(float(zv[b]), float(w[a]))
-    return CrossingResult(a, b, interval, b == len(w) - 1)
+    return CrossingResult(a, b, float(zv[b]), float(w[a]))
 
 
 def crossing_verify(x, z: GeometricSequence, n_samples: int = 0) -> CheckReport:
@@ -309,25 +281,22 @@ def crossing_verify(x, z: GeometricSequence, n_samples: int = 0) -> CheckReport:
     """
     s = as_subject(x)
     result = crossing_interval(s, z)
-    interval = result.interval
     w = s.pmf.weights
     f_x = _levels(s)
 
-    lowest = max(min(float(w[w > 0].min()), interval.lo) / 4.0, 1e-300)
-    ks = np.arange(0, max(len(w) + 8, result.last_index + 8))
-    zv = z.value(ks)
-    points = np.concatenate((f_x.breakpoints, zv[zv >= lowest],
-                             [interval.lo, interval.hi]))
+    lowest = max(min(float(w[w > 0].min()), result.lo) / 4.0, 1e-300)
+    zv = z.value(np.arange(len(w) + 8))
+    points = np.concatenate((f_x.breakpoints, zv[zv >= lowest], [result.lo, result.hi]))
     ts = _probe_grid(points[points > 0.0])
     ts = np.union1d(ts, np.geomspace(ts[0], ts[-1], max(n_samples, 0)))
 
     fz = z.level_count(ts)
     fx = f_x(ts)
-    inside = (interval.lo <= ts) & (ts < interval.hi)
+    inside = (result.lo <= ts) & (ts < result.hi)
     slack = np.where(inside, fx - fz, fz - fx)
     j = int(np.argmin(slack))  # first occurrence of the worst slack
     params = {"a": result.first_index, "b": result.last_index,
-              "interval_lo": interval.lo, "interval_hi": interval.hi,
+              "interval_lo": result.lo, "interval_hi": result.hi,
               "thresholds": int(ts.size), "worst_t": float(ts[j])}
     return CheckReport("crossing_pattern", float(fz[j]), float(fx[j]),
                        float(slack[j]), "pass" if slack[j] >= 0 else "fail",

@@ -100,15 +100,13 @@ def scalar_geometric_level_count(z, t: float) -> int:
 def scalar_crossing_verify(x: LatticePMF, z, n_samples: int = 0) -> CheckReport:
     """crossing_verify's report, built by a per-threshold loop."""
     result = crossing_interval(x, z)
-    interval = result.interval
     w = x.weights
     f_x = level_count(x)
 
-    lowest = max(min(float(w[w > 0].min()), interval.lo) / 4.0, 1e-300)
-    ks = np.arange(0, max(len(w) + 8, result.last_index + 8))
-    zv = z.value(ks)
+    lowest = max(min(float(w[w > 0].min()), result.lo) / 4.0, 1e-300)
+    zv = z.value(np.arange(len(w) + 8))
     points = np.concatenate((f_x.breakpoints, zv[zv >= lowest],
-                             [interval.lo, interval.hi]))
+                             [result.lo, result.hi]))
     points = np.unique(points[points > 0.0])
     mids = (points[:-1] + points[1:]) / 2.0
     ts = np.unique(np.concatenate((points, mids)))
@@ -123,13 +121,13 @@ def scalar_crossing_verify(x: LatticePMF, z, n_samples: int = 0) -> CheckReport:
     for t in ts:
         fz = scalar_geometric_level_count(z, float(t))
         fx = int(f_x(float(t)))
-        slack = (fx - fz) if t in interval else (fz - fx)
+        slack = (fx - fz) if result.lo <= t < result.hi else (fz - fx)
         if slack < worst:
             worst, worst_t, worst_counts = slack, float(t), (fz, fx)
         if slack < 0:
             ok = False
     params = {"a": result.first_index, "b": result.last_index,
-              "interval_lo": interval.lo, "interval_hi": interval.hi,
+              "interval_lo": result.lo, "interval_hi": result.hi,
               "thresholds": int(ts.size), "worst_t": worst_t}
     return CheckReport("crossing_pattern", float(worst_counts[0]),
                        float(worst_counts[1]), float(worst),

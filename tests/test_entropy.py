@@ -202,6 +202,20 @@ class TestTilt:
         with pytest.raises(ValueError):
             tilt(normalize([1, 1]), 0.0)
 
+    def test_overflowing_exponent_takes_the_limit(self):
+        # every alpha * log x_i is below the float range: the tilt is its
+        # alpha -> inf limit, uniform on the largest masses, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uniform = tilt(normalize(np.ones(10)), 1e308)
+            peaks = tilt(normalize([0.1, 0.3, 0.3, 0.2], -2), 1e308)
+            mixed = tilt(normalize([0.5, 0.3, 0.1]), 1e308)
+            dirac = tilt(normalize([1.0], 4), math.inf)
+        np.testing.assert_array_equal(uniform.weights, np.full(10, 0.1))
+        assert peaks.offset == -1 and peaks.weights.tolist() == [0.5, 0.5]
+        assert mixed.offset == 0 and mixed.weights.tolist() == [1.0]
+        assert dirac.offset == 4 and dirac.weights.tolist() == [1.0]
+
 
 class TestInfoContent:
     def test_uniform(self):

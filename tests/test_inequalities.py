@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from lclc.entropy import (
     varentropy,
     varentropy_symmetric_geometric,
 )
-from lclc.errors import BadOrdersError, NotMonotoneLogConcaveError, UnclassifiedError
+from lclc.errors import (
+    BadOrdersError,
+    DomainError,
+    NotMonotoneLogConcaveError,
+    UnclassifiedError,
+)
 from lclc.inequalities import (
     C_constant,
     K_constant,
@@ -181,6 +187,18 @@ class TestMeanMode:
         assert near.passed and far.passed
         assert (far.lhs, far.rhs, far.margin) == (near.lhs, near.rhs, near.margin)
         assert far.params["mean"] == 1e20
+
+    def test_offset_beyond_the_float_range(self):
+        # the largest offset a float holds keeps the verdict; a larger one
+        # is refused when the pmf is built, so no check meets it
+        top = int(sys.float_info.max)
+        near = mean_mode_check(normalize([0.2, 0.6, 0.2], -1))
+        far = mean_mode_check(normalize([0.2, 0.6, 0.2], top))
+        assert (far.lhs, far.rhs, far.margin) == (near.lhs, near.rhs, near.margin)
+        for offset in (10**400, -(10**400)):
+            with pytest.raises(DomainError, match="^offset must be an integer that a "
+                                                  "float can hold$"):
+                mean_mode_check(normalize([1, 2, 1], offset))
 
 
 class TestRate:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from lclc.errors import (
     AllZeroError,
-    BadDocumentError,
     BadLambdaError,
     BadToleranceError,
     BadWeightsError,
@@ -39,6 +39,7 @@ from lclc.lattice import (
     sample,
     symmetry_center,
 )
+from lclc.majorization import GeometricSequence, _levels, crossing_interval, crossing_verify
 from support import random_pmf
 
 
@@ -68,6 +69,18 @@ class TestNormalize:
     def test_all_zero_raises(self):
         with pytest.raises(AllZeroError):
             normalize([0.0, 0.0])
+
+    def test_offset_must_fit_a_float(self):
+        top = int(sys.float_info.max)
+        assert normalize([1, 2, 1], -top).offset == -top
+        assert Subject(normalize([1, 2, 1], top)).structure is Structure.INTEGER_SYMMETRIC
+        for offset in (10**400, -(10**400), top + 2**971, math.inf, math.nan, "one"):
+            with pytest.raises(DomainError, match="^offset must be an integer that a "
+                                                  "float can hold$"):
+                LatticePMF(offset, np.array([0.5, 0.5]))
+        for offset in (10**400, -(10**400)):
+            with pytest.raises(DomainError):
+                normalize([1, 2, 1], offset)
 
     def test_negative_raises(self):
         with pytest.raises(NegativeWeightError):
@@ -273,8 +286,9 @@ class TestJsonInput:
             pmf_from_json({"law": "poisson", "lambda": 0.5})
 
     def test_rejects_missing_fields(self):
-        with pytest.raises(ValueError):
-            pmf_from_json({"law": "geometric"})
+        for doc in ({"law": "geometric"}, {"offset": 0}):
+            with pytest.raises(ValueError):
+                pmf_from_json(doc)
 
     def test_rejects_boolean_weights(self):
         for weights in ([True, False], [0.5, True]):
@@ -283,10 +297,11 @@ class TestJsonInput:
 
     def test_offset_must_fit_a_float(self):
         # the symmetry center and the mean are floats, so an offset whose
-        # float overflows is refused, in a message without its digits
+        # float overflows is refused, in a message without its digits; the
+        # pmf refuses it, so a document gets the library's error
         assert pmf_from_json({"offset": 2**1000, "weights": [1, 2, 1]}).offset == 2**1000
         for offset in (10**400, -(10**400)):
-            with pytest.raises(BadDocumentError) as exc:
+            with pytest.raises(DomainError) as exc:
                 pmf_from_json({"offset": offset, "weights": [1, 2, 1]})
             assert str(exc.value) == "offset must be an integer that a float can hold"
 
@@ -339,20 +354,18 @@ class TestSubject:
         assert calls == [1]
         assert s.self_difference is s.self_difference
 
-    def test_decreasing_orientation(self):
-        dec = Subject(normalize([5, 3, 2]))
-        assert dec.decreasing is dec
+    def test_increasing_subject_crosses_as_its_mirror(self):
+        # the level count holds for -X as well, so an increasing subject
+        # computes it once and crosses the comparator as its mirror does
         inc = Subject(normalize([2, 3, 4], 4))
-        assert inc.log_concave
-        mirror = inc.decreasing
-        assert mirror is inc.decreasing
-        assert mirror.pmf.offset == -6
-        np.testing.assert_array_equal(mirror.pmf.weights, inc.pmf.weights[::-1])
+        mirror = Subject(inc.pmf.reversed())
+        z = GeometricSequence(0.5, 0.5)
+        assert crossing_interval(inc, z) == crossing_interval(mirror, z)
+        assert crossing_verify(inc, z) == crossing_verify(mirror, z)
+        assert inc.direction is Direction.INCREASING
         assert mirror.direction is Direction.DECREASING
-        assert mirror.direction is monotonicity(mirror.pmf)
-        assert mirror.log_concave and inc.direction is Direction.INCREASING
-        with pytest.raises(ValueError):
-            pmf_from_json({"offset": 0})
+        assert _levels(inc) is _levels(inc)
+        np.testing.assert_array_equal(_levels(inc).breakpoints, _levels(mirror).breakpoints)
 
 
 def test_random_generators_have_expected_structure():

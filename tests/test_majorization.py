@@ -121,8 +121,8 @@ class TestCrossing:
         z = GeometricSequence(2.0 / 3.0, 1.0 / 3.0)
         result = crossing_interval(x, z)
         assert result.first_index == 1 and result.last_index == 2
-        assert result.interval.lo == pytest.approx(2.0 / 27.0, rel=1e-14)
-        assert result.interval.hi == pytest.approx(0.3, rel=1e-14)
+        assert result.lo == pytest.approx(2.0 / 27.0, rel=1e-14)
+        assert result.hi == pytest.approx(0.3, rel=1e-14)
         assert crossing_verify(x, z).passed
 
     def test_self_match_covers_whole_support(self):
@@ -132,24 +132,28 @@ class TestCrossing:
         x = materialize(ParametricLaw.geometric(lam), 1e-8)
         result = crossing_interval(x, GeometricSequence(1 - lam, lam))
         assert result.first_index == 0
-        assert result.b_at_horizon
-        assert result.interval.lo < 1e-7
-        assert result.interval.hi == pytest.approx(1 - lam, rel=1e-8)
+        assert result.last_index == len(x) - 1  # the crossing set reaches the horizon
+        assert result.lo < 1e-7
+        assert result.hi == pytest.approx(1 - lam, rel=1e-8)
         assert crossing_verify(x, GeometricSequence(1 - lam, lam)).passed
 
     def test_dirac_against_small_coefficient(self):
         result = crossing_interval(normalize([1.0]), GeometricSequence(0.8, 0.5))
         assert (result.first_index, result.last_index) == (0, 0)
-        assert result.interval.lo == pytest.approx(0.8)
-        assert result.interval.hi == pytest.approx(1.0)
+        assert result.lo == pytest.approx(0.8)
+        assert result.hi == pytest.approx(1.0)
 
     def test_no_crossing(self):
         with pytest.raises(NoCrossingError):
             crossing_interval(normalize([1, 1]), GeometricSequence(2.0, 0.5))
 
-    def test_requires_non_increasing(self):
-        with pytest.raises(NotMonotoneLogConcaveError):
-            crossing_interval(normalize([1, 2, 3]), GeometricSequence(0.5, 0.5))
+    def test_requires_monotone(self):
+        z = GeometricSequence(0.5, 0.5)
+        with pytest.raises(NotMonotoneLogConcaveError, match="^asserted for monotone pmfs$"):
+            crossing_interval(normalize([1, 3, 2]), z)
+        # an increasing pmf is read from its mode: its mirror's result
+        assert crossing_interval(normalize([1, 2, 3]), z) == crossing_interval(
+            normalize([3, 2, 1]), z)
 
     def test_matched_pairs_verify(self):
         rng = np.random.default_rng(24)
@@ -207,11 +211,10 @@ class TestFoldSymmetric:
             fold_symmetric(normalize([1, 4, 4, 1], 10**20))
 
 
-def _matched_decreasing(x, p):
-    """x oriented non-increasing and its matched geometric comparator."""
+def _matched(x, p):
+    """The geometric comparator matched to x at order p."""
     lam = match_geometric(x, p).lam
-    decreasing = x if x.weights[0] >= x.weights[-1] else x.reversed()
-    return decreasing, GeometricSequence(1 - lam, lam)
+    return GeometricSequence(1 - lam, lam)
 
 
 class TestArrayEvaluation:
@@ -226,13 +229,26 @@ class TestArrayEvaluation:
                                                 direction=direction)
                 p = float(rng.choice([1.5, 2.0, 3.0]))
                 n_samples = int(rng.choice([0, 0, 33]))
-                x, z = _matched_decreasing(x, p)
+                z = _matched(x, p)
                 assert (crossing_verify(x, z, n_samples)
                         == scalar_crossing_verify(x, z, n_samples))
 
+    def test_increasing_pmf_crosses_as_its_mirror(self):
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            x = random_monotone_log_concave(rng, max_support=80, direction="increasing")
+            z = _matched(x, float(rng.choice([1.5, 2.0, 3.0])))
+            n_samples = int(rng.choice([0, 0, 33]))
+            mirror = x.reversed()
+            assert crossing_interval(x, z) == crossing_interval(mirror, z)
+            report = crossing_verify(x, z, n_samples)
+            assert report == crossing_verify(mirror, z, n_samples)
+            assert report == scalar_crossing_verify(mirror, z, n_samples)
+
     @pytest.mark.parametrize("lam", [0.99, 0.999])
     def test_crossing_matches_scalar_loop_on_geometric(self, lam):
-        x, z = _matched_decreasing(materialize(ParametricLaw.geometric(lam)), 2.0)
+        x = materialize(ParametricLaw.geometric(lam))
+        z = _matched(x, 2.0)
         report = crossing_verify(x, z)
         assert report == scalar_crossing_verify(x, z)
         assert report.passed
@@ -285,9 +301,9 @@ class TestArrayEvaluation:
         n = 5000
         log_w = -5e-4 * np.arange(n)
         log_w[-1] = log_w[-2] - 690.0
-        x, z = _matched_decreasing(normalize(np.exp(log_w)), 2.0)
-        interval = crossing_interval(x, z).interval
-        lowest = max(min(float(x.weights.min()), interval.lo) / 4.0, 1e-300)
+        x = normalize(np.exp(log_w))
+        z = _matched(x, 2.0)
+        lowest = max(min(float(x.weights.min()), crossing_interval(x, z).lo) / 4.0, 1e-300)
         count = z.level_count(lowest)
         assert count > 1_000_000
         crossing_verify(x, z)  # warm up lazy imports outside the measurement
@@ -360,11 +376,19 @@ class TestConvexOrder:
                 f.hinge_expectation(t), abs=1e-12)
 
     def test_identity_transform(self):
-        f = level_count(normalize([5, 3, 2]))
-        d = power_transform_density(f, 1.0)
-        for t in (0.0, 0.1, 0.3):
-            assert d.hinge_expectation(t) == pytest.approx(
-                f.hinge_expectation(t), abs=1e-15)
+        # a level count's hinge values and mean are those of its power 1,
+        # bit for bit, over the hinge tables' probe grids
+        rng = np.random.default_rng(53)
+        pairs = [(level_count(normalize([5, 3, 2])),) * 2]
+        for p in (2.0, 3.0):
+            pairs += _matched_pair_densities(rng, p)[:1]
+        for u, v in pairs:
+            ts = _probe_grid(u, v)
+            for f in (u, v):
+                d = power_transform_density(f, 1.0)
+                assert np.array_equal(d.hinge_expectation(ts).view(np.int64),
+                                      f.hinge_expectation(ts).view(np.int64))
+                assert d.mean() == f.mean()
 
     def test_mean_mismatch_raises(self):
         with pytest.raises(MeanMismatchError):
@@ -485,10 +509,12 @@ class TestHingeTables:
             edges = np.concatenate(([0.0], f.breakpoints))
             ts = np.concatenate((edges, (edges[:-1] + edges[1:]) / 2.0,
                                  np.nextafter(edges[1:], 0.0), [-0.3, 1.0]))
-            values = f.hinge_expectation(ts)
-            for t, value in zip(ts.tolist(), values.tolist()):
-                exact = _exact_hinge(f, t)
-                assert abs(Fraction(value) - exact) <= Fraction(1e-13) * exact, (t, value)
+            # exponent 1, however it is reached, takes the level count's form
+            for d in (f, f.power(1.0), f.power(2.0).power(0.5)):
+                values = d.hinge_expectation(ts)
+                for t, value in zip(ts.tolist(), values.tolist()):
+                    exact = _exact_hinge(f, t)
+                    assert abs(Fraction(value) - exact) <= Fraction(1e-13) * exact, (t, value)
 
     def test_first_worst_hinge_among_ties(self):
         f = level_count(normalize([5, 3, 2]))
