@@ -4,20 +4,7 @@ t -> log(t * sum x_i**t), majorization against geometric comparators,
 concentration of information content, and the associated sharp constants.
 """
 
-from .entropy import (
-    InfoSummary,
-    info_content,
-    info_summary,
-    power_sum,
-    renyi,
-    renyi_geometric,
-    renyi_symmetric_geometric,
-    shannon,
-    tilt,
-    varentropy,
-    varentropy_geometric,
-    varentropy_symmetric_geometric,
-)
+from .entropy import info_content, power_sum, renyi, shannon, tilt, varentropy
 from .inequalities import (
     C_constant,
     K_constant,

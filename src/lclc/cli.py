@@ -102,10 +102,10 @@ def _concentration(s: Subject, params) -> list[CheckReport]:
 
 def _match(s: Subject, params) -> list[CheckReport]:
     p = _param(params, "p")
-    family, result = matching.match_comparator(s, p)
+    result = matching.match_comparator(s, p)
     return [info("match_lambda", result.lam,
                  {"p": p, "residual": result.residual,
-                  "iterations": result.iterations, "family": family})]
+                  "iterations": result.iterations, "family": result.kind.value})]
 
 
 def _crossing_pattern(s: Subject, lam: float) -> CheckReport:
@@ -122,7 +122,7 @@ def _matching(s: Subject, params) -> list[CheckReport]:
 
 def _crossing(s: Subject, params) -> list[CheckReport]:
     p = _param(params, "p")
-    lam = matching.match_comparator(s, p)[1].lam
+    lam = matching.match_comparator(s, p).lam
     pattern = _crossing_pattern(s, lam)
     cross = pattern.params
     return [info("match_lambda", lam, {"p": p}),
@@ -135,10 +135,9 @@ def _entropy(s: Subject, params) -> list[CheckReport]:
     p = params.get("p")
     if p is not None:
         return [info("renyi_entropy", entropy.renyi(s.pmf, p), {"p": p})]
-    summary = entropy.info_summary(s.pmf)
-    return [info("shannon_entropy", summary.shannon),
-            info("min_entropy", summary.min_entropy),
-            info("varentropy", summary.varentropy)]
+    return [info("shannon_entropy", entropy.shannon(s.pmf)),
+            info("min_entropy", entropy.renyi(s.pmf, math.inf)),
+            info("varentropy", entropy.varentropy(s.pmf))]
 
 
 def _phi(s: Subject, params) -> list[CheckReport]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import entropy, lattice
 from .errors import BadOrdersError
-from .lattice import LatticePMF, Structure, as_subject
+from .lattice import LatticePMF, LawKind, Structure, as_subject
 from .optimize import golden_section_max
 from .report import CheckReport, from_margin
 
@@ -87,7 +87,7 @@ def sup_varentropy_symmetric() -> tuple[float, float]:
     objective rises from 0, peaks near lam = 0.2, and decays to 1, so it is
     unimodal. Returns (lam_star, V_S).
     """
-    lam, value, _ = golden_section_max(entropy.varentropy_symmetric_geometric,
+    lam, value, _ = golden_section_max(LawKind.SYMMETRIC_GEOMETRIC.varentropy,
                                        1e-9, 1.0 - 1e-9, xtol=1e-12)
     return lam, value
 
@@ -257,9 +257,10 @@ def C_constant(q: float, p: float) -> float:
     if p == q:
         return 0.0
 
+    renyi = LawKind.SYMMETRIC_GEOMETRIC.renyi  # bound once, not per evaluation
+
     def objective(lam: float) -> float:
-        return (entropy.renyi_symmetric_geometric(lam, q)
-                - entropy.renyi_symmetric_geometric(lam, p))
+        return renyi(lam, q) - renyi(lam, p)
 
     lo, hi = 1e-9, 1.0 - 1e-9
     grid = np.linspace(lo, hi, 129)

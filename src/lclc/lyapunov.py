@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import log_power_sum_geometric, log_power_sum_of_logs
+from .entropy import log_power_sum_of_logs
 from .errors import AllZeroError, DomainError
-from .lattice import LatticePMF, _checked_weights, normalize
+from .lattice import LatticePMF, LawKind, _checked_weights, normalize
 from .report import CheckReport
 
 DEFAULT_T_MIN = 0.05
@@ -79,7 +79,7 @@ def phi_geometric(lam: float, t: float) -> float:
     """Closed form for the geometric law: log t + t log(1-lam) - log(1-lam**t)."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    return math.log(t) + log_power_sum_geometric(lam, t)
+    return math.log(t) + LawKind.GEOMETRIC.log_power_sum(lam, t)
 
 
 def phi_geometric_second_derivative(lam: float, t: float) -> float:
@@ -97,10 +97,11 @@ def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     A product t * log x_i below the float range is -inf, its limit. A row
     whose largest product t * max log x is -inf (rounding is monotone) has
-    phi = -inf and tilted variance 0, the limits as t grows."""
+    phi = -inf and tilted variance 0, the limits as t grows. A t whose
+    square underflows has phi'' = -inf, its limit as t -> 0."""
     if not np.all(ts > 0.0):
         raise ValueError(f"t must be positive, got {ts.min()}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         dead = ts * logs.max() == -np.inf
         if dead.any():
             phi_vals, phi2_vals = np.full(ts.size, -np.inf), 0.0 - 1.0 / ts**2

@@ -298,9 +298,7 @@ def crossing_verify(x, z: GeometricSequence, n_samples: int = 0) -> CheckReport:
     params = {"a": result.first_index, "b": result.last_index,
               "interval_lo": result.lo, "interval_hi": result.hi,
               "thresholds": int(ts.size), "worst_t": float(ts[j])}
-    return CheckReport("crossing_pattern", float(fz[j]), float(fx[j]),
-                       float(slack[j]), "pass" if slack[j] >= 0 else "fail",
-                       params)
+    return from_margin("crossing_pattern", fz[j], fx[j], slack[j], 0.0, params)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 from . import entropy
 from .errors import BadOrdersError, NoBracketError
-from .lattice import MATCHABLE, NON_DEGENERATE, LatticePMF, Structure, as_subject
+from .lattice import MATCHABLE, NON_DEGENERATE, LatticePMF, LawKind, Structure, as_subject
 from .optimize import bisect_root
-from .report import CheckReport
+from .report import CheckReport, from_margin
 
 _BRACKET_LO = 1e-12
 _BRACKET_HI = 1.0 - 1e-12
@@ -24,18 +24,20 @@ DEFAULT_Q_GRID = (0.5, 1.0, 1.5, 3.0, 5.0, math.inf)
 
 @dataclass(frozen=True)
 class MatchResult:
+    kind: LawKind  # the comparator's family
     lam: float
     target: float
     residual: float  # relative
     iterations: int
 
 
-def _solve(log_psi, x: LatticePMF, p: float) -> MatchResult:
+def _solve(kind: LawKind, x: LatticePMF, p: float) -> MatchResult:
     x = as_subject(x).require(NON_DEGENERATE).pmf
     p = float(p)
     if not p > 0.0 or p == 1.0 or math.isinf(p):
         raise BadOrdersError(f"matching order must be finite, positive and != 1, got {p}")
     log_target = entropy.log_power_sum(x, p)
+    log_psi = kind.log_power_sum
     root, iterations = bisect_root(lambda lam: log_psi(lam, p) - log_target,
                                    _BRACKET_LO, _BRACKET_HI,
                                    xtol=1e-15, max_iter=_MAX_ITER)
@@ -46,7 +48,7 @@ def _solve(log_psi, x: LatticePMF, p: float) -> MatchResult:
         residual = math.inf
     if residual > _RESIDUAL_TOL:
         raise NoBracketError(f"matching did not converge: residual {residual:.3g}")
-    return MatchResult(root, target, residual, iterations)
+    return MatchResult(kind, root, target, residual, iterations)
 
 
 def match_geometric(x: LatticePMF, p: float) -> MatchResult:
@@ -57,16 +59,16 @@ def match_geometric(x: LatticePMF, p: float) -> MatchResult:
     non-Dirac pmf, so a root always brackets; for p in (0, 1) the bracket
     orientation reverses and is detected at runtime.
     """
-    return _solve(entropy.log_power_sum_geometric, x, p)
+    return _solve(LawKind.GEOMETRIC, x, p)
 
 
 def match_symmetric_geometric(x: LatticePMF, p: float) -> MatchResult:
     """Find lam matching the symmetric-geometric p-th power sum to x's."""
-    return _solve(entropy.log_power_sum_symmetric_geometric, x, p)
+    return _solve(LawKind.SYMMETRIC_GEOMETRIC, x, p)
 
 
-def match_comparator(x, p: float) -> tuple[str, MatchResult]:
-    """The comparator family of x's structure and its match at order p.
+def match_comparator(x, p: float) -> MatchResult:
+    """The match at order p against the comparator family of x's structure.
 
     Monotone pmfs are matched against the geometric family,
     integer-symmetric pmfs against the symmetric-geometric family; any
@@ -75,10 +77,10 @@ def match_comparator(x, p: float) -> tuple[str, MatchResult]:
     """
     s = as_subject(x).require(MATCHABLE)
 
-    def solve() -> tuple[str, MatchResult]:
+    def solve() -> MatchResult:
         if s.structure is Structure.MONOTONE:
-            return "geometric", match_geometric(s.pmf, p)
-        return "symmetric_geometric", match_symmetric_geometric(s.pmf, p)
+            return match_geometric(s.pmf, p)
+        return match_symmetric_geometric(s.pmf, p)
 
     return s.fact(("match", p), solve)
 
@@ -94,24 +96,21 @@ def renyi_dominance_report(x, p: float, q_grid=DEFAULT_Q_GRID) -> CheckReport:
     of refusing to evaluate.
     """
     s = as_subject(x)
-    branch, match = match_comparator(s, p)
-    comparator_entropy = (entropy.renyi_geometric if branch == "geometric"
-                          else entropy.renyi_symmetric_geometric)
+    match = match_comparator(s, p)
     margins = []
     worst = math.inf
     worst_pair = (math.nan, math.nan)
     for q in q_grid:
         h_x = entropy.renyi(s.pmf, q)
-        h_z = comparator_entropy(match.lam, q)
+        h_z = match.kind.renyi(match.lam, q)
         margin = (h_x - h_z) if q >= p else (h_z - h_x)
         margins.append(margin)
         if margin < worst:
             worst, worst_pair = margin, (h_x, h_z)
-    verdict = "pass" if worst >= -1e-9 else "fail"
-    params = {"branch": branch, "p": p, "lam": match.lam,
+    params = {"branch": match.kind.value, "p": p, "lam": match.lam,
               "residual": match.residual,
               "q_grid": [float(q) for q in q_grid],
               "margins": margins,
               "log_concave": s.log_concave}
-    return CheckReport("renyi_dominance", worst_pair[0], worst_pair[1],
-                       float(worst), verdict, params)
+    return from_margin("renyi_dominance", worst_pair[0], worst_pair[1], worst, 1e-9,
+                       params)

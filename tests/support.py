@@ -11,7 +11,9 @@ threshold at a time; the library's array evaluation must reproduce them
 exactly. The loop_* functions evaluate hinge expectations, means, the
 convex-order certificate and the layer-cake sum one segment and one hinge
 at a time; the library's suffix-sum tables and array sums must agree with
-them to rounding.
+them to rounding. The ref_* functions are the closed forms of the two
+parametric families written as one function per family and quantity;
+LawKind's methods must reproduce them bit for bit.
 """
 
 import math
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from lclc.entropy import power_sum
-from lclc.errors import MeanMismatchError
+from lclc.errors import BadLambdaError, BadOrdersError, MeanMismatchError
 from lclc.lattice import LatticePMF, normalize, symmetry_center
 from lclc.majorization import (
     HINGE_TOL,
@@ -219,3 +221,74 @@ def loop_cake_layer_check(x: LatticePMF, t: float) -> CheckReport:
     tol = 1e-12 * max(1.0, lhs)
     return from_margin("cake_layer", lhs, rhs, tol - err, 0.0,
                        {"t": t, "abs_error": err})
+
+
+def _ref_lambda(lam: float) -> float:
+    lam = float(lam)
+    if not (0.0 < lam < 1.0):
+        raise BadLambdaError(f"law parameter must lie in (0, 1), got {lam}")
+    return lam
+
+
+def _ref_order(p: float) -> float:
+    p = float(p)
+    if math.isnan(p) or p < 0.0:
+        raise BadOrdersError(f"Renyi order must be >= 0, got {p}")
+    return p
+
+
+def ref_log_power_sum_geometric(lam: float, p: float) -> float:
+    lam = _ref_lambda(lam)
+    return p * math.log1p(-lam) - math.log(-math.expm1(p * math.log(lam)))
+
+
+def ref_power_sum_geometric(lam: float, p: float) -> float:
+    return math.exp(ref_log_power_sum_geometric(lam, p))
+
+
+def ref_log_power_sum_symmetric_geometric(lam: float, p: float) -> float:
+    lam = _ref_lambda(lam)
+    lam_p = math.exp(p * math.log(lam))
+    return (p * (math.log1p(-lam) - math.log1p(lam))
+            + math.log1p(lam_p) - math.log(-math.expm1(p * math.log(lam))))
+
+
+def ref_power_sum_symmetric_geometric(lam: float, p: float) -> float:
+    return math.exp(ref_log_power_sum_symmetric_geometric(lam, p))
+
+
+def ref_renyi_geometric(lam: float, p: float) -> float:
+    lam = _ref_lambda(lam)
+    p = _ref_order(p)
+    if p == 0.0:
+        return math.inf
+    if math.isinf(p):
+        return -math.log1p(-lam)
+    if p == 1.0:
+        return -math.log1p(-lam) - lam * math.log(lam) / (1.0 - lam)
+    return ref_log_power_sum_geometric(lam, p) / (1.0 - p)
+
+
+def ref_renyi_symmetric_geometric(lam: float, p: float) -> float:
+    lam = _ref_lambda(lam)
+    p = _ref_order(p)
+    if p == 0.0:
+        return math.inf
+    log_c = math.log1p(-lam) - math.log1p(lam)
+    if math.isinf(p):
+        return -log_c
+    if p == 1.0:
+        return -log_c - 2.0 * lam * math.log(lam) / ((1.0 - lam) * (1.0 + lam))
+    return ref_log_power_sum_symmetric_geometric(lam, p) / (1.0 - p)
+
+
+def ref_varentropy_geometric(lam: float) -> float:
+    lam = _ref_lambda(lam)
+    return lam * math.log(lam) ** 2 / (1.0 - lam) ** 2
+
+
+def ref_varentropy_symmetric_geometric(lam: float) -> float:
+    lam = _ref_lambda(lam)
+    e_abs = 2.0 * lam / ((1.0 - lam) * (1.0 + lam))
+    e_sq = 2.0 * lam / (1.0 - lam) ** 2
+    return math.log(lam) ** 2 * (e_sq - e_abs * e_abs)

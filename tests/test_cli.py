@@ -692,6 +692,8 @@ def _argv(draw):
 @example((["entropy", "--p=1e+308"], UNIFORM_10, False))
 @example((["phi", "--t-grid=1e+308"], UNIFORM_10, False))
 @example((["verify", "--law", "geometric", "--lambda=0.5", "--alpha=1e+308"], None, False))
+# a t whose square underflows, which once warned
+@example((["phi", "--law", "geometric", "--lambda=0.5", "--t-grid=1e-320"], None, False))
 def test_exit_contract_on_drawn_inputs(tmp_path_factory, drawn):
     argv, doc, misused = drawn
     if doc is not None:
@@ -713,7 +715,8 @@ def test_exit_contract_on_drawn_inputs(tmp_path_factory, drawn):
 
 def test_extreme_orders_take_their_limits(tmp_path, capsys):
     """At orders where t * log x overflows, H_p and the epi rows take their
-    p -> inf limits and phi its -inf limit, with no warning: exit 0."""
+    p -> inf limits and phi its -inf limit, and at a t whose square
+    underflows phi'' takes its t -> 0 limit, with no warning: exit 0."""
     path = _write_dist(tmp_path, UNIFORM_10)
     log_10 = -math.log(0.1)
     with warnings.catch_warnings():
@@ -728,6 +731,8 @@ def test_extreme_orders_take_their_limits(tmp_path, capsys):
         assert main(["phi", "--input", path, "--t-grid", "1e308", "--format", "json"]) == 0
         phi = json.loads(capsys.readouterr().out)[0]
         assert phi["lhs"] == "-inf" and phi["params"]["phi2"] == 0.0
+        assert main(["phi"] + _LAW_ARGV + ["--t-grid", "1e-320", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["params"]["phi2"] == "-inf"
         # CSV writes an infinite cell bare, as it writes a finite one
         assert main(["phi", "--input", path, "--t-grid", "1e308"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("phi,-inf,,,info,")

@@ -9,20 +9,16 @@ from hypothesis import strategies as st
 from lclc import entropy
 from lclc.entropy import (
     info_content,
-    info_summary,
     log_power_sum,
     power_sum,
-    power_sum_geometric,
     renyi,
-    renyi_geometric,
-    renyi_symmetric_geometric,
+    shannon,
     tilt,
     varentropy,
-    varentropy_geometric,
-    varentropy_symmetric_geometric,
 )
 from lclc.errors import BadLambdaError, BadOrdersError, OutOfSupportError
-from lclc.lattice import LatticePMF, ParametricLaw, materialize, normalize
+from lclc.lattice import LatticePMF, LawKind, ParametricLaw, materialize, normalize
+import support
 from support import random_monotone_log_concave, random_pmf
 
 INF = math.inf
@@ -46,7 +42,8 @@ class TestPowerSum:
 
     def test_geometric_closed_form(self):
         # sum of ((1-lam) lam^n)^2 is a geometric series with ratio lam^2
-        assert power_sum_geometric(0.5, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert math.exp(LawKind.GEOMETRIC.log_power_sum(0.5, 2.0)) == pytest.approx(
+            1.0 / 3.0, rel=1e-14)
         x = materialize(ParametricLaw.geometric(0.5))
         assert power_sum(x, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -97,35 +94,75 @@ class TestRenyi:
 
 class TestGeometricClosedForms:
     def test_examples_at_half(self):
-        assert renyi_geometric(0.5, INF) == pytest.approx(math.log(2.0), rel=1e-14)
-        assert renyi_geometric(0.5, 2.0) == pytest.approx(math.log(3.0), rel=1e-14)
-        assert renyi_geometric(0.5, 1.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
+        assert LawKind.GEOMETRIC.renyi(0.5, INF) == pytest.approx(math.log(2.0), rel=1e-14)
+        assert LawKind.GEOMETRIC.renyi(0.5, 2.0) == pytest.approx(math.log(3.0), rel=1e-14)
+        assert LawKind.GEOMETRIC.renyi(0.5, 1.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
 
     def test_order_zero_is_infinite(self):
-        assert renyi_geometric(0.5, 0.0) == INF
-        assert renyi_symmetric_geometric(0.5, 0.0) == INF
+        assert LawKind.GEOMETRIC.renyi(0.5, 0.0) == INF
+        assert LawKind.SYMMETRIC_GEOMETRIC.renyi(0.5, 0.0) == INF
 
     def test_bad_lambda(self):
-        with pytest.raises(BadLambdaError):
-            renyi_geometric(1.0, 2.0)
+        # the closed forms and the law refuse a parameter with one message
+        message = r"^law parameter must lie in \(0, 1\), got 1\.0$"
+        with pytest.raises(BadLambdaError, match=message):
+            LawKind.GEOMETRIC.renyi(1.0, 2.0)
+        with pytest.raises(BadLambdaError, match=message):
+            ParametricLaw.geometric(1.0)
 
     @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_truncated_matches_closed_form(self, lam):
         x = materialize(ParametricLaw.geometric(lam), 1e-15)
         for p in (1.0, 2.0, 5.0, INF):
-            assert renyi(x, p) == pytest.approx(renyi_geometric(lam, p), abs=1e-9)
+            assert renyi(x, p) == pytest.approx(LawKind.GEOMETRIC.renyi(lam, p), abs=1e-9)
         # p < 1 converges slower: the truncated tail of the p-th power sum
         # is of order lam**((n_max+1) p), well above the tail tolerance
-        assert renyi(x, 0.5) == pytest.approx(renyi_geometric(lam, 0.5), abs=5e-7)
+        assert renyi(x, 0.5) == pytest.approx(LawKind.GEOMETRIC.renyi(lam, 0.5), abs=5e-7)
 
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
     def test_symmetric_truncated_matches_closed_form(self, lam):
         z = materialize(ParametricLaw.symmetric_geometric(lam), 1e-15)
         for p in (1.0, 2.0, 5.0, INF):
             assert renyi(z, p) == pytest.approx(
-                renyi_symmetric_geometric(lam, p), abs=1e-9)
+                LawKind.SYMMETRIC_GEOMETRIC.renyi(lam, p), abs=1e-9)
         assert renyi(z, 0.5) == pytest.approx(
-            renyi_symmetric_geometric(lam, 0.5), abs=5e-7)
+            LawKind.SYMMETRIC_GEOMETRIC.renyi(lam, 0.5), abs=5e-7)
+
+
+def _outcome(fn, *args):
+    """The value's bits, or the error raised with its message."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:  # the reference must raise the same
+        return type(exc), str(exc)
+
+
+# each family's reference closed forms: log psi, psi, H_p and V
+REFERENCES = {
+    LawKind.GEOMETRIC: (
+        support.ref_log_power_sum_geometric, support.ref_power_sum_geometric,
+        support.ref_renyi_geometric, support.ref_varentropy_geometric),
+    LawKind.SYMMETRIC_GEOMETRIC: (
+        support.ref_log_power_sum_symmetric_geometric,
+        support.ref_power_sum_symmetric_geometric,
+        support.ref_renyi_symmetric_geometric, support.ref_varentropy_symmetric_geometric),
+}
+
+
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_law_kind_closed_forms_equal_the_references_bitwise(kind):
+    ref_log_psi, ref_psi, ref_renyi, ref_varentropy = REFERENCES[kind]
+    lams = list(np.random.default_rng(11).random(200)) + [
+        1e-12, 1e-9, 0.5, 0.999, 0.9999, 1.0 - 1e-9]
+    orders = (0.0, 1e-3, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 1e4, INF)
+    for lam in map(float, lams):
+        assert _outcome(kind.varentropy, lam) == _outcome(ref_varentropy, lam), lam
+        for p in orders:
+            args = (lam, p)
+            assert _outcome(kind.log_power_sum, *args) == _outcome(ref_log_psi, *args), args
+            assert (_outcome(lambda *a: math.exp(kind.log_power_sum(*a)), *args)
+                    == _outcome(ref_psi, *args)), args
+            assert _outcome(kind.renyi, *args) == _outcome(ref_renyi, *args), args
 
 
 class TestVarentropy:
@@ -136,28 +173,28 @@ class TestVarentropy:
     def test_geometric_closed_form(self):
         x = materialize(ParametricLaw.geometric(0.5))
         expected = 2.0 * math.log(2.0) ** 2
-        assert varentropy_geometric(0.5) == pytest.approx(expected, rel=1e-14)
+        assert LawKind.GEOMETRIC.varentropy(0.5) == pytest.approx(expected, rel=1e-14)
         assert varentropy(x) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
     def test_geometric_closed_form_matches_summation(self, lam):
         x = materialize(ParametricLaw.geometric(lam), 1e-15)
-        assert varentropy(x) == pytest.approx(varentropy_geometric(lam), abs=1e-9)
+        assert varentropy(x) == pytest.approx(LawKind.GEOMETRIC.varentropy(lam), abs=1e-9)
 
     @pytest.mark.parametrize("lam", [0.2, 0.3, 0.5, 0.7, 0.9])
     def test_symmetric_closed_form_matches_summation(self, lam):
         z = materialize(ParametricLaw.symmetric_geometric(lam), 1e-15)
         assert varentropy(z) == pytest.approx(
-            varentropy_symmetric_geometric(lam), abs=1e-9)
+            LawKind.SYMMETRIC_GEOMETRIC.varentropy(lam), abs=1e-9)
 
     def test_symmetric_dirac_limit(self):
-        assert varentropy_symmetric_geometric(1e-8) == pytest.approx(0.0, abs=1e-4)
+        assert LawKind.SYMMETRIC_GEOMETRIC.varentropy(1e-8) == pytest.approx(0.0, abs=1e-4)
 
     def test_geometric_bound_sharp_but_strict(self):
         lams = np.linspace(0.01, 0.999, 500)
-        values = [varentropy_geometric(l) for l in lams]
+        values = [LawKind.GEOMETRIC.varentropy(l) for l in lams]
         assert max(values) < 1.0
-        assert varentropy_geometric(0.999) > 0.999
+        assert LawKind.GEOMETRIC.varentropy(0.999) > 0.999
 
     def test_monotone_log_concave_below_one(self):
         rng = np.random.default_rng(2024)
@@ -241,6 +278,6 @@ class TestInfoContent:
 def test_info_summary_invariants():
     rng = np.random.default_rng(9)
     for _ in range(100):
-        summary = info_summary(random_pmf(rng))
-        assert summary.min_entropy <= summary.shannon + 1e-12
-        assert summary.varentropy >= 0.0
+        x = random_pmf(rng)
+        assert renyi(x, INF) <= shannon(x) + 1e-12
+        assert varentropy(x) >= 0.0

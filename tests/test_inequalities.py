@@ -4,13 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from lclc.entropy import (
-    renyi,
-    renyi_geometric,
-    renyi_symmetric_geometric,
-    varentropy,
-    varentropy_symmetric_geometric,
-)
+from lclc.entropy import renyi, varentropy
 from lclc.errors import (
     BadOrdersError,
     DomainError,
@@ -33,7 +27,7 @@ from lclc.inequalities import (
     rate_r,
     sup_varentropy_symmetric,
 )
-from lclc.lattice import ParametricLaw, materialize, normalize
+from lclc.lattice import LawKind, ParametricLaw, materialize, normalize
 from support import (
     random_half_integer_symmetric,
     random_log_concave,
@@ -65,7 +59,7 @@ class TestGapConstant:
 
 class TestRenyiGap:
     def test_sharpness_near_one(self):
-        margin = (renyi_geometric(0.9, 3.0) - renyi_geometric(0.9, 1.5)
+        margin = (LawKind.GEOMETRIC.renyi(0.9, 3.0) - LawKind.GEOMETRIC.renyi(0.9, 1.5)
                   - gap_constant(3.0, 1.5))
         assert 0.0 < margin < 0.05
 
@@ -135,12 +129,12 @@ class TestSupVarentropySymmetric:
         lam_star, v_s = sup_varentropy_symmetric()
         assert v_s == pytest.approx(1.16923, abs=1e-3)
         for eps in (1e-3, -1e-3):
-            assert varentropy_symmetric_geometric(lam_star + eps) <= v_s
+            assert LawKind.SYMMETRIC_GEOMETRIC.varentropy(lam_star + eps) <= v_s
 
     def test_grid_dominance(self):
         _, v_s = sup_varentropy_symmetric()
         for lam in np.linspace(0.02, 0.98, 50):
-            assert varentropy_symmetric_geometric(float(lam)) <= v_s + 1e-12
+            assert LawKind.SYMMETRIC_GEOMETRIC.varentropy(float(lam)) <= v_s + 1e-12
         for lam in (0.1, 0.2, 0.5):
             z = materialize(ParametricLaw.symmetric_geometric(lam))
             assert varentropy(z) <= v_s + 1e-9
@@ -286,7 +280,7 @@ class TestEpiReversal:
 
     def test_sharpness_via_closed_forms(self):
         lam = 0.999
-        diff = renyi_symmetric_geometric(lam, 2.0) - renyi_geometric(lam, 2.0)
+        diff = LawKind.SYMMETRIC_GEOMETRIC.renyi(lam, 2.0) - LawKind.GEOMETRIC.renyi(lam, 2.0)
         assert math.log(2.0) - 0.01 < diff <= math.log(2.0)
 
     def test_materialized_geometric_across_orders(self):
@@ -336,8 +330,8 @@ class TestCConstant:
 
     def test_dominates_interior_grid_point(self):
         c = C_constant(1.0, 2.0)
-        probe = (renyi_symmetric_geometric(0.5, 1.0)
-                 - renyi_symmetric_geometric(0.5, 2.0))
+        probe = (LawKind.SYMMETRIC_GEOMETRIC.renyi(0.5, 1.0)
+                 - LawKind.SYMMETRIC_GEOMETRIC.renyi(0.5, 2.0))
         assert c >= probe - 1e-12
 
     def test_bound_on_random_symmetric_instances(self):

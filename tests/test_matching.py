@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lclc.entropy import (
-    power_sum,
-    power_sum_geometric,
-    power_sum_symmetric_geometric,
-    renyi,
-    renyi_symmetric_geometric,
-)
+from lclc.entropy import power_sum, renyi
 from lclc.errors import BadOrdersError, DiracInputError, UnclassifiedError
-from lclc.lattice import ParametricLaw, materialize, normalize
+from lclc.lattice import LawKind, ParametricLaw, materialize, normalize
 from lclc.matching import (
+    match_comparator,
     match_geometric,
     match_symmetric_geometric,
     renyi_dominance_report,
@@ -55,7 +50,7 @@ class TestMatchGeometric:
             result = match_geometric(x, p)
             assert result.residual < 1e-12
             assert 0.0 < result.lam < 1.0
-            assert power_sum_geometric(result.lam, p) == pytest.approx(
+            assert math.exp(LawKind.GEOMETRIC.log_power_sum(result.lam, p)) == pytest.approx(
                 power_sum(x, p), rel=1e-11)
 
     def test_sub_one_order_brackets_upward(self):
@@ -70,8 +65,9 @@ class TestMatchGeometric:
 class TestMatchSymmetricGeometric:
     def test_power_sum_limits(self):
         # the symmetric closed form runs from 1 down to 0 as lam sweeps (0,1)
-        assert power_sum_symmetric_geometric(1e-9, 2.0) == pytest.approx(1.0, abs=1e-6)
-        assert power_sum_symmetric_geometric(1.0 - 1e-9, 2.0) < 1e-6
+        log_psi = LawKind.SYMMETRIC_GEOMETRIC.log_power_sum
+        assert math.exp(log_psi(1e-9, 2.0)) == pytest.approx(1.0, abs=1e-6)
+        assert math.exp(log_psi(1.0 - 1e-9, 2.0)) < 1e-6
 
     def test_self_match(self):
         z = materialize(ParametricLaw.symmetric_geometric(0.5), 1e-15)
@@ -80,8 +76,8 @@ class TestMatchSymmetricGeometric:
     def test_three_atom_target(self):
         result = match_symmetric_geometric(normalize([2, 6, 2]), 2.0)
         assert result.target == pytest.approx(0.44)
-        assert power_sum_symmetric_geometric(result.lam, 2.0) == pytest.approx(
-            0.44, rel=1e-12)
+        assert math.exp(LawKind.SYMMETRIC_GEOMETRIC.log_power_sum(
+            result.lam, 2.0)) == pytest.approx(0.44, rel=1e-12)
 
     def test_sub_one_order(self):
         rng = np.random.default_rng(33)
@@ -131,6 +127,16 @@ class TestRenyiDominance:
                                             q_grid=(0.5, 1.0, 1.5, 3.0, INF))
             assert report.passed, report.params
 
+    def test_match_names_the_comparator_of_the_structure(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            x = random_monotone_log_concave(rng, max_support=30)
+            assert match_comparator(x, 2.0).kind is LawKind.GEOMETRIC
+            z = random_symmetric_log_concave(rng, max_half=15)
+            match = match_comparator(z, 2.0)
+            assert match.kind is LawKind.SYMMETRIC_GEOMETRIC
+            assert match == match_symmetric_geometric(z, 2.0)
+
     def test_unclassified_input_rejected(self):
         # log-concave but neither monotone nor symmetric about an integer
         with pytest.raises(UnclassifiedError):
@@ -141,7 +147,7 @@ class TestRenyiDominance:
         z = materialize(ParametricLaw.symmetric_geometric(lam), 1e-15)
         for q in (2.0, 3.0, INF):
             assert renyi(z, q) == pytest.approx(
-                renyi_symmetric_geometric(lam, q), abs=1e-10)
+                LawKind.SYMMETRIC_GEOMETRIC.renyi(lam, q), abs=1e-10)
 
 
 class TestPowerSumReversalOutsideWindow:
@@ -152,6 +158,6 @@ class TestPowerSumReversalOutsideWindow:
             p = 2.0
             lam = match_geometric(x, p).lam
             for q in (3.0, 5.0):   # q > p
-                assert power_sum(x, q) <= power_sum_geometric(lam, q) + 1e-10
+                assert power_sum(x, q) <= math.exp(LawKind.GEOMETRIC.log_power_sum(lam, q)) + 1e-10
             for q in (0.5, 0.8):   # q < 1
-                assert power_sum(x, q) <= power_sum_geometric(lam, q) + 1e-8
+                assert power_sum(x, q) <= math.exp(LawKind.GEOMETRIC.log_power_sum(lam, q)) + 1e-8
