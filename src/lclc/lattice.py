@@ -92,8 +92,12 @@ class LawKind(Enum):
     def log_power_sum(self, lam: float, p: float) -> float:
         """log sum_n P(X = n)**p: p log(1-lam) - log(1-lam**p) for the
         geometric law, p log C + log(1+lam**p) - log(1-lam**p) with
-        C = (1-lam)/(1+lam) for the symmetric one."""
+        C = (1-lam)/(1+lam) for the symmetric one. At p = 0 the sum counts
+        the infinite support, +inf; a negative or NaN p is refused."""
         lam = check_lambda(lam)
+        if not p > 0.0:  # one comparison on the solver's path
+            check_order(p)  # a negative or NaN p raises; p = 0 diverges
+            return math.inf
         # 1 - lam**p via expm1 keeps precision when lam**p is close to 1
         if self is _GEOMETRIC:
             return p * math.log1p(-lam) - math.log(-math.expm1(p * math.log(lam)))

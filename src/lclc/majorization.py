@@ -270,14 +270,14 @@ def crossing_interval(x, z: GeometricSequence) -> CrossingResult:
     return CrossingResult(a, b, float(zv[b]), float(w[a]))
 
 
-def crossing_verify(x, z: GeometricSequence, n_samples: int = 0) -> CheckReport:
+def crossing_verify(x, z: GeometricSequence) -> CheckReport:
     """Confirm the two-crossing sign pattern of F_z against F_x.
 
     Evaluates both step functions at every breakpoint of either function
-    (comparator values down to below the interval's lower edge), at the
-    midpoints between consecutive levels, and at n_samples extra log-spaced
-    thresholds. The margin is the worst signed slack in level counts; a
-    failure indicates a library defect rather than a mathematical one.
+    (comparator values down to below the interval's lower edge) and at the
+    interval's edges: each piece is probed once, at its left end. The margin
+    is the worst signed slack in level counts; a failure indicates a library
+    defect rather than a mathematical one.
     """
     s = as_subject(x)
     result = crossing_interval(s, z)
@@ -287,8 +287,7 @@ def crossing_verify(x, z: GeometricSequence, n_samples: int = 0) -> CheckReport:
     lowest = max(min(float(w[w > 0].min()), result.lo) / 4.0, 1e-300)
     zv = z.value(np.arange(len(w) + 8))
     points = np.concatenate((f_x.breakpoints, zv[zv >= lowest], [result.lo, result.hi]))
-    ts = _probe_grid(points[points > 0.0])
-    ts = np.union1d(ts, np.geomspace(ts[0], ts[-1], max(n_samples, 0)))
+    ts = np.unique(points[points > 0.0])
 
     fz = z.level_count(ts)
     fx = f_x(ts)
@@ -341,7 +340,8 @@ class SymmetricFold:
 
 def fold_symmetric(x) -> SymmetricFold:
     """Fold an integer-symmetric pmf onto the half line and verify the
-    identity relating the two level counts below the central mass."""
+    identity relating the two level counts below the central mass. Each
+    piece of the two step functions is probed once, at its left end."""
     s = as_subject(x).require(INTEGER_SYMMETRIC)
     w = s.pmf.weights
     center_idx = (len(w) - 1) // 2
@@ -349,23 +349,18 @@ def fold_symmetric(x) -> SymmetricFold:
     full = _levels(s)
     half = _level_count_of(w[center_idx:])
 
-    # from 0, so the grid holds half the smallest mass too
-    ts = _probe_grid(np.concatenate(([0.0], full.breakpoints, half.breakpoints)))
+    # 0 stands for the piece below the smallest mass
+    ts = np.unique(np.concatenate(([0.0], full.breakpoints, half.breakpoints)))
     ts = ts[ts < center_mass]
     gaps = np.abs(full(ts) - (2 * half(ts) - 1))
     return SymmetricFold(full, half, center_mass, int(np.max(gaps, initial=0)))
 
 
-def _probe_grid(points: np.ndarray) -> np.ndarray:
-    """The distinct points, sorted, with the midpoint of each consecutive
-    pair: the thresholds at which two step functions are compared."""
-    points = np.unique(points)
-    return np.unique(np.concatenate((points, (points[:-1] + points[1:]) / 2.0)))
-
-
 def _default_hinge_grid(u, v) -> np.ndarray:
+    # hinge functions are not constant between breakpoints: add midpoints
     points = np.concatenate((u.breakpoints, v.breakpoints))
-    return np.union1d([0.0], _probe_grid(points[points >= 0.0]))
+    points = np.unique(points[points >= 0.0])
+    return np.union1d([0.0], np.concatenate((points, (points[:-1] + points[1:]) / 2.0)))
 
 
 def convex_order_check(u_density, v_density, hinge_grid=None,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from lclc.errors import (
     NotMonotoneLogConcaveError,
     NotSymmetricError,
 )
-from lclc.lattice import LawKind, ParametricLaw, materialize, normalize
+from lclc.lattice import LawKind, ParametricLaw, Subject, materialize, normalize
 from lclc.majorization import (
     GeometricSequence,
     LevelCount,
@@ -218,6 +219,30 @@ def _matched(x, p):
     return GeometricSequence(1 - lam, lam)
 
 
+def _breakpoint_count(x, z) -> int:
+    """The number of distinct positive breakpoints crossing_verify probes:
+    those of F_x, the comparator values from lowest up and the interval's
+    two edges."""
+    result = crossing_interval(x, z)
+    w = x.weights
+    lowest = max(min(float(w[w > 0].min()), result.lo) / 4.0, 1e-300)
+    zv = z.value(np.arange(len(w) + 8))
+    points = np.concatenate((level_count(x).breakpoints, zv[zv >= lowest],
+                             [result.lo, result.hi]))
+    return np.unique(points[points > 0.0]).size
+
+
+def _assert_matches_dense(report, x, z, n_samples=0):
+    """report equals the dense reference loop's, which also probes every
+    midpoint and n_samples log-spaced thresholds, in every field but the
+    threshold count; that count is the number of distinct breakpoints."""
+    dense = scalar_crossing_verify(x, z, n_samples)
+    assert report.params["thresholds"] == _breakpoint_count(x, z)
+    assert report.params["thresholds"] < dense.params["thresholds"]
+    thresholds = {"thresholds": dense.params["thresholds"]}
+    assert replace(report, params={**report.params, **thresholds}) == dense
+
+
 class TestArrayEvaluation:
     """The array evaluation of the crossing and folding checks against the
     per-threshold reference loops in support.py."""
@@ -231,8 +256,7 @@ class TestArrayEvaluation:
                 p = float(rng.choice([1.5, 2.0, 3.0]))
                 n_samples = int(rng.choice([0, 0, 33]))
                 z = _matched(x, p)
-                assert (crossing_verify(x, z, n_samples)
-                        == scalar_crossing_verify(x, z, n_samples))
+                _assert_matches_dense(crossing_verify(x, z), x, z, n_samples)
 
     def test_increasing_pmf_crosses_as_its_mirror(self):
         rng = np.random.default_rng(44)
@@ -242,16 +266,16 @@ class TestArrayEvaluation:
             n_samples = int(rng.choice([0, 0, 33]))
             mirror = x.reversed()
             assert crossing_interval(x, z) == crossing_interval(mirror, z)
-            report = crossing_verify(x, z, n_samples)
-            assert report == crossing_verify(mirror, z, n_samples)
-            assert report == scalar_crossing_verify(mirror, z, n_samples)
+            report = crossing_verify(x, z)
+            assert report == crossing_verify(mirror, z)
+            _assert_matches_dense(report, mirror, z, n_samples)
 
     @pytest.mark.parametrize("lam", [0.99, 0.999])
     def test_crossing_matches_scalar_loop_on_geometric(self, lam):
         x = materialize(ParametricLaw.geometric(lam))
         z = _matched(x, 2.0)
         report = crossing_verify(x, z)
-        assert report == scalar_crossing_verify(x, z)
+        _assert_matches_dense(report, x, z)
         assert report.passed
 
     def test_array_level_counts_match_scalar_counts(self):
@@ -316,6 +340,21 @@ class TestArrayEvaluation:
             tracemalloc.stop()
         assert report.passed
         assert peak < 8 * count / 4
+
+    def test_memory_of_crossing_at_345k_atoms(self):
+        # geometric 0.9999 (345,371 atoms), its level count already cached:
+        # one probe per piece keeps the peak below that of probing midpoints
+        s = Subject(materialize(ParametricLaw.geometric(0.9999)))
+        z = _matched(s.pmf, 2.0)
+        crossing_verify(s, z)  # caches the level count
+        tracemalloc.start()
+        try:
+            report = crossing_verify(s, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 56 * 2**20
 
 
 def _uniform_density(hi: float) -> LevelCount:
