@@ -37,7 +37,6 @@ from .lattice import (
     symmetry_center,
 )
 from .lyapunov import (
-    ConcavityReport,
     check_concavity,
     counterexample_check,
     extended_phi,

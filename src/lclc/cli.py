@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     LatticeError,
     MissingParameterError,
+    NoBracketError,
     UnclassifiedError,
 )
 from .lattice import DEFAULT_TAIL_TOL, Condition, LatticePMF, Subject, pmf_from_json
@@ -81,17 +82,6 @@ def _classification(s: Subject, params) -> list[CheckReport]:
         "symmetry_center": s.symmetry,
         "offset": s.pmf.offset,
     })]
-
-
-def _concavity(s: Subject, params) -> list[CheckReport]:
-    rep = lyapunov.check_concavity(s.pmf)
-    margin = min(rep.min_second_difference, -rep.max_second_derivative)
-    return [CheckReport("phi_concavity", rep.min_second_difference,
-                        rep.max_second_derivative, margin,
-                        "pass" if rep.concave else FAIL,
-                        {"t_min": float(rep.grid[0]), "t_max": float(rep.grid[-1]),
-                         "n_points": int(rep.grid.size),
-                         "witness": rep.witness})]
 
 
 def _concentration(s: Subject, params) -> list[CheckReport]:
@@ -162,7 +152,7 @@ def _constants(s: None, params) -> list[CheckReport]:
 
 
 PHI_CONCAVITY = Check("phi_concavity", (lattice.LC_CLASSIFIED, lattice.PHI_CLASS),
-                      _concavity)
+                      lambda s, params: [lyapunov.check_concavity(s.pmf)])
 CONCENTRATION = Check("concentration", (lattice.LC_CLASSIFIED, lattice.CLASSIFIED),
                       _concentration)
 RENYI_GAP = Check("renyi_gap", (lattice.LC_MONOTONE,), lambda s, params: [
@@ -221,10 +211,11 @@ COMMANDS = tuple(VIEWS)
 def _evaluate(check: Check, s: Subject | None, params: dict[str, Any],
               policy: str) -> list[CheckReport]:
     """The entry's rows, or what the policy writes for the first condition s
-    fails, the entry's or its check function's, or for a refused order."""
+    fails, the entry's or its check function's, for a refused order, or for
+    a match the solver could not find."""
     try:
         return check.rows(s.require(*check.requires) if check.requires else s, params)
-    except (BadOrdersError, UnclassifiedError) as exc:
+    except (BadOrdersError, NoBracketError, UnclassifiedError) as exc:
         reason = str(exc)
     if policy == REFUSE:
         raise LatticeError(f"{check.name}: {reason}")

@@ -28,12 +28,6 @@ class Side(Enum):
     LOWER = "lower"
 
 
-def _as_side(side) -> Side:
-    if isinstance(side, Side):
-        return side
-    return Side(str(side).lower())
-
-
 # ---------------------------------------------------------------------------
 # Renyi gap.
 # ---------------------------------------------------------------------------
@@ -88,7 +82,7 @@ def sup_varentropy_symmetric() -> tuple[float, float]:
     unimodal. Returns (lam_star, V_S).
     """
     lam, value, _ = golden_section_max(LawKind.SYMMETRIC_GEOMETRIC.varentropy,
-                                       1e-9, 1.0 - 1e-9, xtol=1e-12)
+                                       1e-9, 1.0 - 1e-9)
     return lam, value
 
 
@@ -115,14 +109,13 @@ def check_varentropy(x) -> CheckReport:
                        {"class": s.structure.value})
 
 
-def K_constant(x: LatticePMF, alpha_grid=None) -> float:
+def K_constant(x: LatticePMF) -> float:
     """Grid lower bound of sup over alpha > 0 of V(tilt(x, alpha)).
 
-    The default grid is 200 log-spaced points on [1e-3, 1e3]; the true
-    supremum can only exceed the returned value.
+    The grid, DEFAULT_ALPHA_GRID, is 200 log-spaced points on [1e-3, 1e3];
+    the true supremum can only exceed the returned value.
     """
-    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else np.asarray(alpha_grid, float)
-    return max(entropy.varentropy(entropy.tilt(x, float(a))) for a in grid)
+    return max(entropy.varentropy(entropy.tilt(x, float(a))) for a in DEFAULT_ALPHA_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +159,7 @@ def rate_r(t: float) -> float:
     return t - math.log1p(t)
 
 
-def concentration_bound(t: float, K: float, side) -> float:
+def concentration_bound(t: float, K: float, side: Side) -> float:
     """exp(-K * r(+-t/K)): the tail bound at deviation t with constant K.
 
     At K = 1 this is (1+t) e**-t for the upper tail and (1-t) e**t for the
@@ -176,7 +169,7 @@ def concentration_bound(t: float, K: float, side) -> float:
         raise ValueError(f"deviation t must be non-negative, got {t}")
     if not K > 0.0:
         raise ValueError(f"constant K must be positive, got {K}")
-    arg = t / K if _as_side(side) is Side.UPPER else -t / K
+    arg = t / K if side is Side.UPPER else -t / K
     r = rate_r(arg)
     return 0.0 if math.isinf(r) else math.exp(-K * r)
 
@@ -188,7 +181,7 @@ def _information_content(x: LatticePMF) -> tuple[np.ndarray, np.ndarray, float]:
     return w, info, float(np.dot(w, info))
 
 
-def empirical_tail(x, t: float, side) -> float:
+def empirical_tail(x, t: float, side: Side) -> float:
     """Exact tail mass of the information content around the entropy.
 
     Upper: P(-log f(X) >= H + t). Lower: P(-log f(X) <= H - t).
@@ -197,14 +190,13 @@ def empirical_tail(x, t: float, side) -> float:
         raise ValueError(f"deviation t must be non-negative, got {t}")
     s = as_subject(x)
     w, info, h = s.fact("information", lambda: _information_content(s.pmf))
-    if _as_side(side) is Side.UPPER:
+    if side is Side.UPPER:
         return float(w[info >= h + t].sum())
     return float(w[info <= h - t].sum())
 
 
-def check_concentration(x, t: float, side, K: float = 1.0) -> CheckReport:
+def check_concentration(x, t: float, side: Side, K: float = 1.0) -> CheckReport:
     """Exact tail against the rate bound with the given constant."""
-    side = _as_side(side)
     tail = empirical_tail(as_subject(x), t, side)
     bound = concentration_bound(t, K, side)
     return from_margin(f"concentration_{side.value}", tail, bound, bound - tail,
@@ -268,5 +260,5 @@ def C_constant(q: float, p: float) -> float:
     k = int(np.argmax(values))
     left = float(grid[max(0, k - 1)])
     right = float(grid[min(len(grid) - 1, k + 1)])
-    _, value, _ = golden_section_max(objective, left, right, xtol=1e-12)
+    _, value, _ = golden_section_max(objective, left, right)
     return max(value, float(values[k]))

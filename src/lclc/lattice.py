@@ -42,6 +42,7 @@ DEFAULT_TAIL_TOL = 1e-15
 _SUM_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
 _LOG_CONCAVE_REL_TOL = 1e-12
+MAX_SUPPORT = 20_000_000  # atoms a truncation may take
 
 
 class Direction(Enum):
@@ -268,11 +269,12 @@ def normalize(weights, offset: int = 0) -> LatticePMF:
     return LatticePMF(offset + first, w[first : last + 1].copy())
 
 
-def is_log_concave(x: LatticePMF, rel_tol: float = _LOG_CONCAVE_REL_TOL) -> bool:
+def is_log_concave(x: LatticePMF) -> bool:
     """True iff x has contiguous support and x_i**2 >= x_{i-1} * x_{i+1}.
 
-    The inequality is compared in the log domain with a relative tolerance
-    so that exactly log-affine sequences are not rejected for rounding.
+    The inequality is compared in the log domain with the relative
+    tolerance _LOG_CONCAVE_REL_TOL, so that exactly log-affine sequences
+    are not rejected for rounding.
     """
     w = x.weights
     nonzero = np.flatnonzero(w > 0.0)
@@ -284,7 +286,7 @@ def is_log_concave(x: LatticePMF, rel_tol: float = _LOG_CONCAVE_REL_TOL) -> bool
     mid = 2.0 * logw[1:-1]
     outer = logw[:-2] + logw[2:]
     scale = np.maximum(1.0, np.maximum(np.abs(mid), np.abs(outer)))
-    return bool(np.all(mid - outer >= -rel_tol * scale))
+    return bool(np.all(mid - outer >= -_LOG_CONCAVE_REL_TOL * scale))
 
 
 def monotonicity(x: LatticePMF) -> Direction:
@@ -303,14 +305,15 @@ def monotonicity(x: LatticePMF) -> Direction:
     return Direction.NEITHER
 
 
-def symmetry_center(x: LatticePMF, abs_tol: float = _SYMMETRY_TOL) -> float | None:
-    """Center c with pmf(c + u) = pmf(c - u) for all u, else None.
+def symmetry_center(x: LatticePMF) -> float | None:
+    """Center c with pmf(c + u) = pmf(c - u) for all u, to within
+    _SYMMETRY_TOL, else None.
 
     The only candidate is the midpoint of the trimmed support, so the
     returned value is an integer or half-integer (as a float).
     """
     w = x.weights
-    if not np.all(np.abs(w - w[::-1]) <= abs_tol):
+    if not np.all(np.abs(w - w[::-1]) <= _SYMMETRY_TOL):
         return None
     return x.offset + (len(w) - 1) / 2.0
 
@@ -422,9 +425,9 @@ def mean_variance(x: LatticePMF) -> tuple[float, float]:
     return x.offset + mean, var
 
 
-def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL,
-                max_support: int = 20_000_000) -> LatticePMF:
-    """Truncate an infinite-support law to a finite pmf.
+def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> LatticePMF:
+    """Truncate an infinite-support law to a finite pmf of at most
+    MAX_SUPPORT atoms, else DomainError before any allocation.
 
     The discarded tail mass is strictly below tail_tol before the final
     renormalization. For the geometric law the mass beyond n_max is
@@ -441,7 +444,7 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL,
     while lam ** (n_max + 1) >= threshold:
         n_max += 1
     atoms = n_max + 1 if geometric else 2 * n_max + 1
-    if atoms > max_support:
+    if atoms > MAX_SUPPORT:
         raise DomainError(f"truncation needs {atoms} atoms, above max_support")
     if geometric:
         logw = np.arange(n_max + 1) * log_lam

@@ -13,39 +13,20 @@ which exist once the peak is wider than three atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import log_power_sum_of_logs
 from .errors import AllZeroError, DomainError
 from .lattice import LatticePMF, LawKind, _checked_weights, normalize
-from .report import CheckReport
+from .report import CheckReport, from_margin
 
 DEFAULT_T_MIN = 0.05
 DEFAULT_T_MAX = 40.0
 DEFAULT_N_POINTS = 256
 CONCAVITY_TOL = 1e-9
+_SCAN_RATIOS = 99  # peak ratios mu tried per half-width
 _BLOCK_ELEMENTS = 1 << 20  # grid rows x atoms per block of _phi_on_grid
-
-
-@dataclass(frozen=True, eq=False)
-class ConcavityReport:
-    """Grid evidence for concavity of phi.
-
-    Second differences are reported as function minus chord, normalized by
-    the local magnitude of phi, so they are non-negative for a concave
-    function; concave holds iff min_second_difference >= -tolerance and
-    max_second_derivative <= tolerance. witness is the t-triple around the
-    worst violation when concavity fails.
-    """
-
-    grid: np.ndarray
-    phi: np.ndarray
-    min_second_difference: float
-    concave: bool
-    witness: tuple[float, float, float] | None
-    max_second_derivative: float
 
 
 def _log_values(x) -> np.ndarray:
@@ -124,22 +105,19 @@ def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return phi_vals, var - 1.0 / ts**2
 
 
-def check_concavity(x, t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MAX,
-                    n_points: int = DEFAULT_N_POINTS,
-                    tol: float = CONCAVITY_TOL) -> ConcavityReport:
-    """Verify concavity of phi_x on a geometric grid over [t_min, t_max].
+def check_concavity(x) -> CheckReport:
+    """Verify concavity of phi_x on DEFAULT_N_POINTS log-spaced points of
+    [DEFAULT_T_MIN, DEFAULT_T_MAX].
 
     The grid is log-spaced because the curvature of phi concentrates near
-    zero and flattens at infinity. At every interior node the analytic
-    second derivative must stay below tol and the chord gap
-    phi(mid) - linear interpolant must stay above -tol (normalized by the
-    local scale of phi).
+    zero and flattens at infinity. lhs is the least chord gap
+    phi(mid) - linear interpolant, normalized by the local scale of phi,
+    and rhs the largest analytic second derivative; the margin is the
+    smaller of lhs and -rhs, and concavity holds iff it is at least
+    -CONCAVITY_TOL. witness is the t-triple around the worst violation
+    when concavity fails, else None.
     """
-    if not (0.0 < t_min < t_max):
-        raise ValueError("need 0 < t_min < t_max")
-    if n_points < 3:
-        raise ValueError("need at least 3 grid points")
-    ts = np.geomspace(t_min, t_max, n_points)
+    ts = np.geomspace(DEFAULT_T_MIN, DEFAULT_T_MAX, DEFAULT_N_POINTS)
     phi_vals, phi2_vals = _phi_on_grid(_log_values(x), ts)
 
     lo, mid, hi = ts[:-2], ts[1:-1], ts[2:]
@@ -152,16 +130,18 @@ def check_concavity(x, t_min: float = DEFAULT_T_MIN, t_max: float = DEFAULT_T_MA
 
     min_gap = float(gaps.min())
     max_phi2 = float(phi2_vals.max())
-    concave = min_gap >= -tol and max_phi2 <= tol
+    margin = min(min_gap, -max_phi2)
     witness = None
-    if not concave:
-        if max_phi2 > tol:
+    if margin < -CONCAVITY_TOL:
+        if max_phi2 > CONCAVITY_TOL:
             k = int(np.argmax(phi2_vals))
-            k = min(max(k, 1), n_points - 2)
+            k = min(max(k, 1), DEFAULT_N_POINTS - 2)
         else:
             k = int(np.argmin(gaps)) + 1
         witness = (float(ts[k - 1]), float(ts[k]), float(ts[k + 1]))
-    return ConcavityReport(ts, phi_vals, min_gap, concave, witness, max_phi2)
+    return from_margin("phi_concavity", min_gap, max_phi2, margin, CONCAVITY_TOL,
+                       {"t_min": float(ts[0]), "t_max": float(ts[-1]),
+                        "n_points": DEFAULT_N_POINTS, "witness": witness})
 
 
 def extended_phi(y, gamma: float, t: float) -> float:
@@ -205,19 +185,19 @@ def counterexample_check(lam: float, gamma: float) -> CheckReport:
                        {"lam": lam, "gamma": gamma, "midpoint_gap": midpoint_gap})
 
 
-def scan_symmetric_peaks(half_widths=(1, 2, 3), n_ratios: int = 60,
-                         t_min: float = 0.05, t_max: float = 40.0,
-                         n_points: int = 128) -> tuple[LatticePMF, float, float]:
+def scan_symmetric_peaks(half_widths=(1, 2, 3)) -> tuple[LatticePMF, float, float]:
     """Search symmetric log-affine peaks for a point where phi is convex.
 
-    Candidates have weights proportional to mu**|n| for |n| <= k, which are
-    log-concave and non-monotone; the scan returns the pmf, t, and phi''(t)
-    of the largest curvature found. Half-width 1 (three atoms) can never
-    produce a violation: with only two distinct log-masses the tilted
-    variance satisfies t**2 Var <= max_s s**2 2 e**-s / (1 + 2 e**-s)**2,
-    which stays below 0.77. From half-width 2 on, violations exist.
+    Candidates have weights proportional to mu**|n| for |n| <= k, with
+    _SCAN_RATIOS values of mu in [0.01, 0.9]; they are log-concave and
+    non-monotone. phi'' is evaluated on check_concavity's grid, and the
+    scan returns the pmf, t, and phi''(t) of the largest curvature found.
+    Half-width 1 (three atoms) can never produce a violation: with only
+    two distinct log-masses the tilted variance satisfies
+    t**2 Var <= max_s s**2 2 e**-s / (1 + 2 e**-s)**2, which stays below
+    0.77. From half-width 2 on, violations exist.
     """
-    ts = np.geomspace(t_min, t_max, n_points)
+    ts = np.geomspace(DEFAULT_T_MIN, DEFAULT_T_MAX, DEFAULT_N_POINTS)
     best_val = -math.inf
     best_pmf = None
     best_t = math.nan
@@ -225,7 +205,7 @@ def scan_symmetric_peaks(half_widths=(1, 2, 3), n_ratios: int = 60,
         if k < 1:
             raise ValueError("half-width must be at least 1")
         abs_n = np.abs(np.arange(-k, k + 1))
-        for mu in np.linspace(0.01, 0.9, n_ratios):
+        for mu in np.linspace(0.01, 0.9, _SCAN_RATIOS):
             pmf = normalize(mu ** abs_n.astype(np.float64), -k)
             _, phi2_vals = _phi_on_grid(_log_values(pmf), ts)
             j = int(np.argmax(phi2_vals))

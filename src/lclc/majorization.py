@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import power_sum
-from .errors import DomainError, MeanMismatchError, NoCrossingError
+from .errors import MeanMismatchError, NoCrossingError
 from .lattice import INTEGER_SYMMETRIC, MONOTONE, Direction, LatticePMF, Subject, as_subject
 from .report import CheckReport, from_margin
 
@@ -219,7 +219,7 @@ class GeometricSequence:
         flat = t.reshape(-1)
         # candidate from logs (clamped to 0 for t >= coeff), then settle
         # boundary rounding; each pass only revisits the unsettled entries
-        est = np.floor((np.log(flat) - math.log(self.coeff)) / math.log(self.ratio)) - 2.0
+        est = np.floor((np.log(flat) - math.log(self.coeff)) / math.log(self.ratio))
         m = np.maximum(est, 0.0).astype(np.int64)
         todo = np.arange(flat.size)
         while todo.size:  # step up while z_m > t
@@ -363,36 +363,27 @@ def _default_hinge_grid(u, v) -> np.ndarray:
     return np.union1d([0.0], np.concatenate((points, (points[:-1] + points[1:]) / 2.0)))
 
 
-def convex_order_check(u_density, v_density, hinge_grid=None,
-                       mean_tol: float = MEAN_TOL,
-                       hinge_tol: float = HINGE_TOL) -> CheckReport:
+def convex_order_check(u_density, v_density) -> CheckReport:
     """Hinge-function certificate that v_density majorizes u_density.
 
     Both arguments are step or power densities with equal means (within
-    mean_tol, else MeanMismatchError). The verdict is pass iff
-    E[(V - t)+] >= E[(U - t)+] - hinge_tol at every hinge point t; by the
+    MEAN_TOL, else MeanMismatchError). The verdict is pass iff
+    E[(V - t)+] >= E[(U - t)+] - HINGE_TOL at every hinge point t; by the
     hinge characterization of the convex order (dominance at the kinks plus
     convexity between them) this certifies E[w(V)] >= E[w(U)] for convex w.
-    The default grid is the union of both breakpoint sets, the midpoints of
-    consecutive points, and zero; an explicit hinge_grid must be a non-empty
-    1-D sequence of finite points, else DomainError. Each density is
-    evaluated once over the whole grid.
+    The hinge grid is the union of both breakpoint sets, the midpoints of
+    consecutive points, and zero. Each density is evaluated once over the
+    whole grid.
     """
     mu_u, mu_v = u_density.mean(), v_density.mean()
-    if abs(mu_u - mu_v) > mean_tol * max(1.0, abs(mu_u)):
+    if abs(mu_u - mu_v) > MEAN_TOL * max(1.0, abs(mu_u)):
         raise MeanMismatchError(
-            f"means differ: {mu_u} vs {mu_v} (tolerance {mean_tol})")
-    if hinge_grid is None:
-        ts = _default_hinge_grid(u_density, v_density)
-    else:
-        ts = np.asarray(hinge_grid, dtype=np.float64)
-        if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
-            raise DomainError("hinge_grid needs one or more finite points in a "
-                              f"1-D sequence, got {hinge_grid!r}")
+            f"means differ: {mu_u} vs {mu_v} (tolerance {MEAN_TOL})")
+    ts = _default_hinge_grid(u_density, v_density)
     ev = v_density.hinge_expectation(ts)
     eu = u_density.hinge_expectation(ts)
     gap = ev - eu
     j = int(np.argmin(gap))  # first occurrence of the worst gap
-    return from_margin("convex_order", ev[j], eu[j], gap[j], hinge_tol,
+    return from_margin("convex_order", ev[j], eu[j], gap[j], HINGE_TOL,
                        {"hinges": int(ts.size), "worst_t": float(ts[j]),
                         "mean": mu_u})

@@ -16,7 +16,6 @@ from .report import CheckReport, from_margin
 
 _BRACKET_LO = 1e-12
 _BRACKET_HI = 1.0 - 1e-12
-_MAX_ITER = 200
 _RESIDUAL_TOL = 1e-9
 
 DEFAULT_Q_GRID = (0.5, 1.0, 1.5, 3.0, 5.0, math.inf)
@@ -39,8 +38,7 @@ def _solve(kind: LawKind, x: LatticePMF, p: float) -> MatchResult:
     log_target = entropy.log_power_sum(x, p)
     log_psi = kind.log_power_sum
     root, iterations = bisect_root(lambda lam: log_psi(lam, p) - log_target,
-                                   _BRACKET_LO, _BRACKET_HI,
-                                   xtol=1e-15, max_iter=_MAX_ITER)
+                                   _BRACKET_LO, _BRACKET_HI)
     target = math.exp(log_target)
     try:
         residual = abs(math.expm1(log_psi(root, p) - log_target))

@@ -9,11 +9,15 @@ from typing import Callable
 from .errors import NoBracketError
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
+BISECT_XTOL = 1e-15
+BISECT_MAX_ITER = 200
+GOLDEN_XTOL = 1e-12
+GOLDEN_MAX_ITER = 300
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 1e-15, max_iter: int = 200) -> tuple[float, int]:
-    """Bisection with runtime bracket orientation.
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, int]:
+    """Bisection with runtime bracket orientation, to bracket width
+    BISECT_XTOL or BISECT_MAX_ITER steps.
 
     Returns (root, iterations). Raises NoBracketError when f has the same
     sign at both endpoints.
@@ -27,11 +31,11 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         raise NoBracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3g}, f(hi)={fhi:.3g}")
     it = 0
-    while it < max_iter:
+    while it < BISECT_MAX_ITER:
         it += 1
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0 or (hi - lo) <= xtol:
+        if fm == 0.0 or (hi - lo) <= BISECT_XTOL:
             return mid, it
         if (fm > 0.0) == (flo > 0.0):
             lo, flo = mid, fm
@@ -40,18 +44,19 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi), it
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       xtol: float = 1e-12, max_iter: int = 300) -> tuple[float, float, int]:
+def golden_section_max(f: Callable[[float], float], lo: float,
+                       hi: float) -> tuple[float, float, int]:
     """Golden-section maximization of a unimodal function on [lo, hi].
 
-    Returns (argmax, max, iterations) with the final bracket width below xtol.
+    Returns (argmax, max, iterations) with the final bracket width below
+    GOLDEN_XTOL, or after GOLDEN_MAX_ITER steps.
     """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     it = 0
-    while (b - a) > xtol and it < max_iter:
+    while (b - a) > GOLDEN_XTOL and it < GOLDEN_MAX_ITER:
         it += 1
         if fc > fd:
             b, d, fd = d, c, fc

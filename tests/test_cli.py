@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from lclc import inequalities, matching
 from lclc.cli import (COMMANDS, DEFAULT_T_GRID, FLAGS, VIEWS, RunConfig, classify,
                       main, run)
-from lclc.errors import UnclassifiedError
-from lclc.lattice import Direction, materialize, normalize, ParametricLaw
+from lclc.errors import NoBracketError, UnclassifiedError
+from lclc.lattice import Direction, materialize, normalize, ParametricLaw, pmf_from_json
+from support import random_monotone_log_concave, random_symmetric_log_concave
 
 
 def _run(argv, tmp_path=None):
@@ -711,6 +712,55 @@ def test_exit_contract_on_drawn_inputs(tmp_path_factory, drawn):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:"), err.getvalue()
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+# inputs at which the comparator solver finds no match, each of which once
+# ended verify with exit 2: (the distribution document, --p or None)
+TINY_TAIL = {"weights": [1, 1e-320]}
+NO_MATCH = [
+    (TINY_TAIL, None),
+    ({"weights": [0.5, 0.3, 0.15]}, 0.01),
+    ({"weights": [5e-324, 1, 5e-324]}, None),
+    ({"law": "geometric", "lambda": 0.125}, 1e308),
+]
+
+
+@pytest.mark.parametrize("doc, p", NO_MATCH)
+def test_a_failed_match_marks_only_the_matching_rows_n_a(tmp_path, capsys, doc, p):
+    """verify writes the one renyi_dominance n/a row with the solver's
+    message as its reason, as an order the match does not cover does."""
+    argv = ["verify", "--input", _write_dist(tmp_path, doc)]
+    if p is not None:
+        argv += ["--p", repr(p)]
+    with pytest.raises(NoBracketError) as solver:
+        matching.match_comparator(classify(pmf_from_json(doc)), 2.0 if p is None else p)
+    code, rows = _rows(argv, capsys)
+    assert code == 0
+    assert rows[-1] == ("renyi_dominance", "n/a", str(solver.value))
+    assert not {"match_lambda", "crossing_pattern"} & {name for name, _, _ in rows}
+
+
+def test_a_failed_match_refuses_match_and_crossing(tmp_path, capsys):
+    path = _write_dist(tmp_path, TINY_TAIL)
+    for command in ("match", "crossing"):
+        code, err = _rows([command, "--input", path], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {command}: no sign change on ["), err
+
+
+def test_verify_never_exits_2_at_a_drawn_order(tmp_path, capsys):
+    """verify at orders log-uniform in [1e-3, 1e6] on monotone and
+    integer-symmetric log-concave pmfs of 2 to 40 atoms."""
+    rng = np.random.default_rng(1300)
+    path = tmp_path / "dist.json"
+    for k in range(400):
+        x = (random_monotone_log_concave(rng, max_support=40) if k % 2 else
+             random_symmetric_log_concave(rng, max_half=19))
+        path.write_text(json.dumps({"offset": x.offset, "weights": x.weights.tolist()}))
+        p = float(10.0 ** rng.uniform(-3.0, 6.0))
+        code = main(["verify", "--input", str(path), "--p", repr(p)])
+        out, err = capsys.readouterr()
+        assert code != 2 and err == "", (p, x, err)
 
 
 def test_extreme_orders_take_their_limits(tmp_path, capsys):

@@ -177,7 +177,7 @@ class TestMaterialize:
         with pytest.raises(DomainError, match="34538760 atoms"):
             materialize(ParametricLaw.geometric(0.999999))
         with pytest.raises(DomainError):
-            materialize(ParametricLaw.symmetric_geometric(0.5), max_support=100)
+            materialize(ParametricLaw.symmetric_geometric(0.999999))
 
     def test_bad_lambda(self):
         for lam in (0.0, 1.0, -0.2, 1.5):

@@ -79,7 +79,7 @@ class TestGridKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.concave
+        assert report.passed
         assert peak < 64 * 2**20
 
 
@@ -157,12 +157,12 @@ class TestCheckConcavity:
         rng = np.random.default_rng(8)
         for _ in range(100):
             report = check_concavity(random_monotone_log_concave(rng))
-            assert report.concave, report.witness
+            assert report.passed, report.params["witness"]
 
     def test_dirac_is_concave(self):
         report = check_concavity(normalize([1.0]))
-        assert report.concave
-        assert report.max_second_derivative < 0.0  # phi = log t
+        assert report.passed
+        assert report.rhs < 0.0  # phi = log t
 
     def test_geometric_closed_form_curvature_non_positive(self):
         for lam in (0.1, 0.5, 0.9):
@@ -179,28 +179,21 @@ class TestCheckConcavity:
                     mid = phi(x, (1 - s) * p + s * q)
                     assert mid >= (1 - s) * fp + s * fq - 1e-9
 
-    def test_grid_validation(self):
-        x = normalize([1, 1])
-        with pytest.raises(ValueError):
-            check_concavity(x, t_min=0.0, t_max=1.0)
-        with pytest.raises(ValueError):
-            check_concavity(x, n_points=2)
-
 
 class TestNonMonotoneWitness:
     def test_wide_symmetric_peaks_violate_concavity(self):
         pmf, t, curvature = scan_symmetric_peaks(half_widths=(2, 3))
         assert curvature > 1e-6
         report = check_concavity(pmf)
-        assert not report.concave
-        assert report.witness is not None
-        lo, _, hi = report.witness
-        assert lo < t < hi or report.max_second_derivative > 1e-6
+        assert not report.passed
+        assert report.params["witness"] is not None
+        lo, _, hi = report.params["witness"]
+        assert lo < t < hi or report.rhs > 1e-6
 
     def test_three_atom_peaks_never_violate(self):
         # two distinct log-masses bound the tilted variance times t^2 by
         # max_s s^2 2 e^-s / (1 + 2 e^-s)^2 < 0.77, so phi'' stays negative
-        _, _, curvature = scan_symmetric_peaks(half_widths=(1,), n_ratios=99)
+        _, _, curvature = scan_symmetric_peaks(half_widths=(1,))
         assert curvature < 0.0
 
     def test_witness_is_log_concave_and_non_monotone(self):

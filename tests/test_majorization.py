@@ -8,7 +8,6 @@ import pytest
 
 from lclc.entropy import power_sum
 from lclc.errors import (
-    DomainError,
     MeanMismatchError,
     NoCrossingError,
     NotMonotoneLogConcaveError,
@@ -292,6 +291,34 @@ class TestArrayEvaluation:
                                        for t in ts]
             assert counts.tolist() == [z.level_count(float(t)) for t in ts]
 
+    def test_level_count_settles_from_its_log_estimate(self, monkeypatch):
+        # settling from the log estimate takes 2.8 power evaluations per
+        # threshold here, from two steps below it 4.8
+        x = materialize(ParametricLaw.geometric(0.999))
+        z = _matched(x, 2.0)
+        value, level_count = GeometricSequence.value, GeometricSequence.level_count
+        counted = {"thresholds": 0, "powers": 0}
+        settling = []
+
+        def counting_value(self, k):
+            if settling:
+                counted["powers"] += np.size(k)
+            return value(self, k)
+
+        def counting_level_count(self, t):
+            counted["thresholds"] += np.size(t)
+            settling.append(True)
+            try:
+                return level_count(self, t)
+            finally:
+                settling.pop()
+
+        monkeypatch.setattr(GeometricSequence, "value", counting_value)
+        monkeypatch.setattr(GeometricSequence, "level_count", counting_level_count)
+        assert crossing_verify(x, z).passed
+        assert counted["thresholds"] > 10_000
+        assert counted["powers"] <= 3 * counted["thresholds"], counted
+
     def test_level_count_rejects_non_positive_thresholds(self):
         z = GeometricSequence(0.5, 0.7)
         for bad in (0.0, -1.0, np.array([0.1, 0.0]), np.array([np.nan])):
@@ -509,11 +536,12 @@ class TestHingeTables:
                     loop = np.array([loop_hinge_expectation(d, float(t)) for t in ts])
                     assert np.max(np.abs(d.hinge_expectation(ts) - loop)) <= 1e-15
                     assert abs(d.mean() - loop_mean(d)) <= 1e-15
-                assert (_raises_mean_mismatch(convex_order_check, u, v)
-                        == _raises_mean_mismatch(loop_convex_order_check, u, v))
-                # the hinge certificate itself, whether or not the means match
-                ref = loop_convex_order_check(u, v, mean_tol=np.inf)
-                report = convex_order_check(u, v, mean_tol=np.inf)
+                mismatch = _raises_mean_mismatch(loop_convex_order_check, u, v)
+                assert _raises_mean_mismatch(convex_order_check, u, v) == mismatch
+                if mismatch:
+                    continue
+                ref = loop_convex_order_check(u, v)
+                report = convex_order_check(u, v)
                 assert report.verdict == ref.verdict
                 assert abs(report.margin - ref.margin) <= 1e-15
                 assert report.params["hinges"] == ref.params["hinges"]
@@ -558,17 +586,7 @@ class TestHingeTables:
 
     def test_first_worst_hinge_among_ties(self):
         f = level_count(normalize([5, 3, 2]))
-        grid = [0.9, 0.8, 0.7]  # above the top: every gap is exactly zero
-        report = convex_order_check(f, f, hinge_grid=grid)
-        assert report.params["worst_t"] == 0.9
-        assert report == loop_convex_order_check(f, f, hinge_grid=grid)
         assert convex_order_check(f, f).params["worst_t"] == 0.0
-
-    @pytest.mark.parametrize("grid", [[], [np.nan], [0.1, np.inf], [[0.1, 0.2]]])
-    def test_rejects_bad_hinge_grids(self, grid):
-        f = level_count(normalize([5, 3, 2]))
-        with pytest.raises(DomainError):
-            convex_order_check(f, f, hinge_grid=grid)
 
 
 class TestMomentDominance:

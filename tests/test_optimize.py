@@ -1,4 +1,4 @@
-from lclc.optimize import bisect_root
+from lclc.optimize import BISECT_MAX_ITER, bisect_root
 
 
 class TestBisectRoot:
@@ -7,5 +7,7 @@ class TestBisectRoot:
         assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == (1.0, 0)
 
     def test_iteration_cap_returns_the_bracket_midpoint(self):
-        # brackets after three steps: [0, .5], [.25, .5], [.25, .375]
-        assert bisect_root(lambda x: x - 0.3, 0.0, 1.0, max_iter=3) == (0.3125, 3)
+        # a bracket this wide is still wider than BISECT_XTOL after
+        # BISECT_MAX_ITER halvings, and a step function has no zero to hit
+        assert bisect_root(lambda x: -1.0 if x < 3e299 else 1.0,
+                           0.0, 1e300) == (3e299, BISECT_MAX_ITER)
