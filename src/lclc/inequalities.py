@@ -159,6 +159,13 @@ def rate_r(t: float) -> float:
     return t - math.log1p(t)
 
 
+def _check_side(side) -> None:
+    """Refuse a side that is not a Side member: either branch would read it
+    as the lower tail."""
+    if not isinstance(side, Side):
+        raise TypeError(f"side must be a Side member, got {side!r}")
+
+
 def concentration_bound(t: float, K: float, side: Side) -> float:
     """exp(-K * r(+-t/K)): the tail bound at deviation t with constant K.
 
@@ -169,6 +176,7 @@ def concentration_bound(t: float, K: float, side: Side) -> float:
         raise ValueError(f"deviation t must be non-negative, got {t}")
     if not K > 0.0:
         raise ValueError(f"constant K must be positive, got {K}")
+    _check_side(side)
     arg = t / K if side is Side.UPPER else -t / K
     r = rate_r(arg)
     return 0.0 if math.isinf(r) else math.exp(-K * r)
@@ -188,6 +196,7 @@ def empirical_tail(x, t: float, side: Side) -> float:
     """
     if not t >= 0.0:
         raise ValueError(f"deviation t must be non-negative, got {t}")
+    _check_side(side)
     s = as_subject(x)
     w, info, h = s.fact("information", lambda: _information_content(s.pmf))
     if side is Side.UPPER:

@@ -26,7 +26,7 @@ DEFAULT_T_MAX = 40.0
 DEFAULT_N_POINTS = 256
 CONCAVITY_TOL = 1e-9
 _SCAN_RATIOS = 99  # peak ratios mu tried per half-width
-_BLOCK_ELEMENTS = 1 << 20  # grid rows x atoms per block of _phi_on_grid
+_BLOCK_ELEMENTS = 1 << 16  # grid rows x atoms per block of _phi_on_grid
 
 
 def _log_values(x) -> np.ndarray:
@@ -73,8 +73,13 @@ def phi_geometric_second_derivative(lam: float, t: float) -> float:
 
 
 def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, phi'') at each exponent t > 0 in ts, from the log-masses logs,
-    in blocks of about _BLOCK_ELEMENTS entries, so memory stays bounded.
+    """(phi, phi'') at each exponent t > 0 in ts, from the log-masses logs.
+
+    The grid is walked in blocks of rows of about _BLOCK_ELEMENTS entries.
+    Every step of a block runs in place in one workspace of two such blocks,
+    allocated once per call and small enough to stay in cache, so memory
+    stays bounded and no step maps fresh pages. A row's steps and its
+    reductions do not depend on the block height, so neither do its bits.
 
     A product t * log x_i below the float range is -inf, its limit. A row
     whose largest product t * max log x is -inf (rounding is monotone) has
@@ -89,19 +94,26 @@ def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
             phi_vals[~dead], phi2_vals[~dead] = _phi_on_grid(logs, ts[~dead])
             return phi_vals, phi2_vals
         phi_vals, var = np.empty(ts.size), np.empty(ts.size)
-        height = max(1, _BLOCK_ELEMENTS // logs.size)
+        # an all-underflow grid arrives here with no rows, hence the max
+        height = max(1, min(ts.size, _BLOCK_ELEMENTS // logs.size))
+        work = np.empty((2, height, logs.size))
         for i in range(0, ts.size, height):
             rows = slice(i, i + height)
-            s = ts[rows, None] * logs
-            m = s.max(axis=1, keepdims=True)
-            w = np.exp(s - m, out=s)
+            t = ts[rows]
+            w, u = work[:, :t.size]
+            np.multiply(t[:, None], logs, out=w)
+            m = w.max(axis=1, keepdims=True)
+            np.subtract(w, m, out=w)
+            np.exp(w, out=w)
             totals = w.sum(axis=1, keepdims=True)
-            phi_vals[rows] = np.log(ts[rows]) + m[:, 0] + np.log(totals[:, 0])
+            phi_vals[rows] = np.log(t) + m[:, 0] + np.log(totals[:, 0])
             w /= totals
             # row sums, not w @ logs or einsum: those pick their kernel by the
             # block's shape, so a row's bits would depend on the block height
-            means = (w * logs).sum(axis=1, keepdims=True)
-            var[rows] = (w * (logs - means) ** 2).sum(axis=1)
+            means = np.multiply(w, logs, out=u).sum(axis=1, keepdims=True)
+            np.subtract(logs, means, out=u)
+            np.square(u, out=u)
+            var[rows] = np.multiply(w, u, out=u).sum(axis=1)
         return phi_vals, var - 1.0 / ts**2
 
 

@@ -235,6 +235,12 @@ class TestConcentrationBound:
         with pytest.raises(ValueError):
             concentration_bound(1.0, 0.0, Side.UPPER)
 
+    @pytest.mark.parametrize("side", ["upper", "lower", None, 1])
+    def test_refuses_a_side_that_is_not_a_member(self, side):
+        # "upper" used to read as the lower tail: 0.8244 instead of 0.9098
+        with pytest.raises(TypeError, match="side must be a Side member"):
+            concentration_bound(0.5, 1.0, side)
+
 
 class TestEmpiricalTail:
     def test_uniform_and_dirac_tails_vanish(self):
@@ -247,6 +253,12 @@ class TestEmpiricalTail:
             for side in (Side.UPPER, Side.LOWER):
                 assert (empirical_tail(x, t, side)
                         <= concentration_bound(t, 1.0, side) + 1e-12)
+
+    @pytest.mark.parametrize("side", ["upper", "lower", None, 1])
+    def test_refuses_a_side_that_is_not_a_member(self, side):
+        x = materialize(ParametricLaw.geometric(0.9))
+        with pytest.raises(TypeError, match="side must be a Side member"):
+            empirical_tail(x, 0.5, side)
 
     def test_check_concentration_report(self):
         x = materialize(ParametricLaw.geometric(0.7))

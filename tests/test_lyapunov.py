@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lclc import lyapunov
 from lclc.entropy import varentropy
 from lclc.errors import DomainError
 from lclc.lattice import ParametricLaw, materialize, normalize
@@ -69,9 +70,35 @@ class TestGridKernel:
             alone = _phi_on_grid(logs, ts[k:k + 1])
             assert (phi_vals[k], phi2_vals[k]) == (alone[0][0], alone[1][0])
 
-    def test_check_concavity_memory_is_bounded(self):
-        x = materialize(ParametricLaw.geometric(0.9999))
-        assert x.support_size == 345_371
+    @pytest.mark.parametrize("n", [3, 300, 2**10, 5_000, 2**16, 70_000])
+    def test_block_size_is_bitwise(self, n, monkeypatch):
+        # at 2**10, 2**16 and 2**20 elements per block these supports take
+        # one row per block, a ragged last block, or one block that the
+        # 256-row grid caps
+        logs = np.log(normalize(np.random.default_rng(n).random(n) + 0.01).positive_weights())
+        results = []
+        for block in (2**10, lyapunov._BLOCK_ELEMENTS, 2**20):
+            monkeypatch.setattr(lyapunov, "_BLOCK_ELEMENTS", block)
+            results.append(_phi_on_grid(logs, self.ts))
+        for k in range(2):
+            for other in results[1:]:
+                np.testing.assert_array_equal(other[k], results[0][k])
+
+    @pytest.mark.parametrize("block", [2**10, lyapunov._BLOCK_ELEMENTS, 2**20])
+    def test_all_underflow_grid_at_any_block_size(self, block, monkeypatch):
+        # every row underflows, so the blocked walk is reached with no rows
+        monkeypatch.setattr(lyapunov, "_BLOCK_ELEMENTS", block)
+        logs = np.log(normalize(np.ones(10)).positive_weights())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi_vals, phi2_vals = _phi_on_grid(logs, np.array([1e308]))
+        assert phi_vals.tolist() == [-math.inf] and phi2_vals.tolist() == [0.0]
+
+    @staticmethod
+    def _concavity_peak(lam, atoms):
+        """tracemalloc peak of a passing check_concavity on geometric lam."""
+        x = materialize(ParametricLaw.geometric(lam))
+        assert x.support_size == atoms
         check_concavity(normalize([0.5, 0.5]))  # warm up outside the measurement
         tracemalloc.start()
         try:
@@ -80,7 +107,15 @@ class TestGridKernel:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak < 64 * 2**20
+        return peak
+
+    def test_check_concavity_memory_is_bounded(self):
+        # a block is one row: the workspace's two rows take 5.3 MiB
+        assert self._concavity_peak(0.9999, 345_371) < 16 * 2**20
+
+    def test_check_concavity_memory_at_34k_atoms(self):
+        # a block is one row: the workspace's two rows take 0.5 MiB
+        assert self._concavity_peak(0.999, 34_522) < 4 * 2**20
 
 
 class TestPhi:
