@@ -131,9 +131,11 @@ def _entropy(s: Subject, params) -> list[CheckReport]:
 
 
 def _phi(s: Subject, params) -> list[CheckReport]:
-    return [info("phi", lyapunov.phi(s.pmf, float(t)),
-                 {"t": float(t), "phi2": lyapunov.phi_second_derivative(s.pmf, float(t))})
-            for t in _t_grid_param(params)]
+    ts = _t_grid_param(params)
+    phi_vals = lyapunov.phi(s.pmf, ts)
+    phi2_vals = lyapunov.phi_second_derivative(s.pmf, ts)
+    return [info("phi", float(v), {"t": float(t), "phi2": float(v2)})
+            for t, v, v2 in zip(ts, phi_vals, phi2_vals)]
 
 
 def _constants(s: None, params) -> list[CheckReport]:

@@ -2,7 +2,7 @@
 
 Carriers and structural predicates for finite-support distributions:
 normalization, log-concavity, monotonicity, symmetry detection, moments,
-the law of a difference X - Y of independent variables, the two infinite
+the law of X - Y for iid X, Y, the two infinite
 parametric families (geometric and symmetric geometric) with their closed
 forms and their controlled truncation to finite support, and the
 hypothesis conditions the checks require of a Subject.
@@ -43,6 +43,7 @@ _SUM_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
 _LOG_CONCAVE_REL_TOL = 1e-12
 MAX_SUPPORT = 20_000_000  # atoms a truncation may take
+_DIRECT_PRODUCTS = 4_000_000  # difference convolves directly up to ~2,000 atoms
 
 
 class Direction(Enum):
@@ -264,9 +265,9 @@ def normalize(weights, offset: int = 0) -> LatticePMF:
     if abs(total - 1.0) > _SUM_TOL:
         # divide before trimming: subnormal entries may underflow to zero
         w = w / total
-    nonzero = np.flatnonzero(w > 0.0)
-    first, last = int(nonzero[0]), int(nonzero[-1])
-    return LatticePMF(offset + first, w[first : last + 1].copy())
+    positive = w > 0.0  # a one-byte mask: the ends need no index array
+    first, last = int(positive.argmax()), w.size - 1 - int(positive[::-1].argmax())
+    return LatticePMF(offset + first, w[first : last + 1])  # which copies it
 
 
 def is_log_concave(x: LatticePMF) -> bool:
@@ -358,7 +359,7 @@ class Subject:
 
     @property
     def self_difference(self) -> LatticePMF:
-        return self.fact("difference", lambda: difference(self.pmf, self.pmf))
+        return self.fact("difference", lambda: difference(self.pmf))
 
     @property
     def monotone(self) -> bool:
@@ -453,22 +454,49 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> Latti
     return normalize(np.exp(logw), -n_max)
 
 
-def difference(x: LatticePMF, y: LatticePMF) -> LatticePMF:
-    """Law of X - Y for independent X ~ x and Y ~ y."""
-    wx, wy = x.weights, y.weights
-    if wx.size * wy.size <= 4_000_000:
-        conv = np.convolve(wx, wy[::-1])
+def difference(x: LatticePMF) -> LatticePMF:
+    """Law of X - Y for iid X, Y ~ x, exactly symmetric about 0.
+
+    P(X - Y = k) is the autocorrelation of the weights at lag |k|. The lags
+    k >= 0 are computed once and mirrored, so the weights equal their
+    reverse bit for bit. Up to _DIRECT_PRODUCTS products they come from a
+    direct convolution; above, from one real FFT at a 5-smooth length of at
+    least 2n - 1 (so no lag wraps), whose spectrum is squared in place into
+    |F|**2 and transformed back, with rounding noise clipped at 0.
+    """
+    w = x.weights
+    n = w.size
+    if n * n <= _DIRECT_PRODUCTS:
+        lags = np.convolve(w, w[::-1])[n - 1:]
     else:
-        conv = _fft_convolve(wx, wy[::-1])
-    offset = x.offset - (y.offset + len(y) - 1)
-    return normalize(conv, offset)
+        m = _smooth_length(2 * n - 1)
+        spectrum = np.fft.rfft(w, m)
+        power = spectrum.view(np.float64)  # re, im interleaved
+        np.square(power, out=power)
+        power[0::2] += power[1::2]
+        power[1::2] = 0.0
+        lags = np.fft.irfft(spectrum, m)[:n]
+        del spectrum, power
+        np.maximum(lags, 0.0, out=lags)
+    law = np.empty(2 * n - 1)
+    law[n - 1:] = lags
+    law[:n] = lags[::-1]
+    del lags  # the transform's buffer goes before normalize copies the law
+    return normalize(law, 1 - n)
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.size + b.size - 1
-    nfft = 1 << (n - 1).bit_length()
-    out = np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[:n]
-    return np.maximum(out, 0.0)  # clip FFT rounding noise
+def _smooth_length(m: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= m, a length numpy's FFT factors
+    into its fast radices."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def sample(x: LatticePMF, seed: int, count: int) -> np.ndarray:

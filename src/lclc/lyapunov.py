@@ -37,23 +37,32 @@ def _log_values(x) -> np.ndarray:
     return np.log(w[w > 0.0])
 
 
-def phi(x, t: float) -> float:
-    """phi_x(t) = log t + log sum_i x_i**t for t > 0.
+def phi(x, t):
+    """phi_x(t) = log t + log sum_i x_i**t for t > 0; over a 1-D array of
+    such t, the array of values.
 
     Accepts a LatticePMF or any non-negative sequence; the sequence need
     not be normalized (phi_{c x}(t) = phi_x(t) + t log c).
     """
-    return float(_phi_on_grid(_log_values(x), np.array([t], dtype=np.float64))[0][0])
+    return _grid_row(x, t, 0)
 
 
-def phi_second_derivative(x, t: float) -> float:
-    """phi_x''(t), evaluated through the tilted log-mass variance.
+def phi_second_derivative(x, t):
+    """phi_x''(t), evaluated through the tilted log-mass variance; over a
+    1-D array of t, the array of values.
 
     Writing w_i(t) for the tilt of x by t, phi''(t) equals
     Var_{w(t)}(log x) - 1/t**2, which is the standard ratio-of-sums
     expression rearranged into a numerically stable two-pass form.
     """
-    return float(_phi_on_grid(_log_values(x), np.array([t], dtype=np.float64))[1][0])
+    return _grid_row(x, t, 1)
+
+
+def _grid_row(x, t, row: int):
+    """Row 0 (phi) or 1 (phi'') of _phi_on_grid: a float at a scalar t, an
+    array over an array of t, whose entries have the scalar's bits."""
+    values = _phi_on_grid(_log_values(x), np.array(t, dtype=np.float64, ndmin=1))[row]
+    return values if np.ndim(t) else float(values[0])
 
 
 def phi_geometric(lam: float, t: float) -> float:

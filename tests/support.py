@@ -8,7 +8,9 @@ monotone half builds the symmetric families.
 
 The scalar_* functions evaluate the crossing and folding checks one
 threshold at a time; the library's array evaluation must reproduce them
-exactly. The loop_* functions evaluate hinge expectations, means, the
+exactly. direct_difference is the law of X - Y by direct convolution over
+every lag, which the library's mirrored FFT autocorrelation must match to
+rounding. The loop_* functions evaluate hinge expectations, means, the
 convex-order certificate and the layer-cake sum one segment and one hinge
 at a time; the library's suffix-sum tables and array sums must agree with
 them to rounding. The ref_* functions are the closed forms of the two
@@ -85,6 +87,12 @@ def random_pmf(rng, max_support=60, min_support=1) -> LatticePMF:
     n = int(rng.integers(min_support, max_support + 1))
     log_w = rng.uniform(-8.0, 0.0, n)
     return normalize(np.exp(log_w), int(rng.integers(-5, 6)))
+
+
+def direct_difference(x: LatticePMF) -> np.ndarray:
+    """P(X - Y = k) for iid X, Y ~ x at k = -(n-1), ..., n-1, each lag summed
+    directly, with no transform and no mirroring."""
+    return np.convolve(x.weights, x.weights[::-1])
 
 
 def scalar_geometric_level_count(z, t: float) -> int:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lclc import inequalities, matching
+from lclc import inequalities, lyapunov, matching
 from lclc.cli import (COMMANDS, DEFAULT_T_GRID, FLAGS, VIEWS, RunConfig, classify,
                       main, run)
 from lclc.errors import NoBracketError, UnclassifiedError
@@ -761,6 +761,31 @@ def test_verify_never_exits_2_at_a_drawn_order(tmp_path, capsys):
         code = main(["verify", "--input", str(path), "--p", repr(p)])
         out, err = capsys.readouterr()
         assert code != 2 and err == "", (p, x, err)
+
+
+@pytest.mark.parametrize("doc", [
+    {"law": "geometric", "lambda": 0.999},
+    {"law": "symmetric_geometric", "lambda": 0.9},
+    {"offset": 3, "weights": [0.5, 0.3, 0.15, 0.05]},
+    {"offset": -2, "weights": [1, 4, 6, 4, 1]},
+    UNIFORM_10,
+])
+def test_phi_rows_are_the_per_t_values(tmp_path, capsys, doc):
+    """phi evaluates its t-grid in one pass per quantity; each row's phi and
+    phi'' keep the bits of phi and phi_second_derivative at its t alone,
+    limit rows included."""
+    grid = (1e-320, 0.1, 0.25, 1.0, 4.0, 40.0, 1e300, 1e308)
+    path = _write_dist(tmp_path, doc)
+    argv = ["phi", "--input", path, "--t-grid", ",".join(map(repr, grid)), "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)[:len(grid)]
+    x = pmf_from_json(doc)
+    for t, row in zip(grid, rows):
+        assert row["check_name"] == "phi" and row["params"]["t"] == t
+        assert float(row["lhs"]) == lyapunov.phi(x, t)
+        assert float(row["params"]["phi2"]) == lyapunov.phi_second_derivative(x, t)
 
 
 def test_extreme_orders_take_their_limits(tmp_path, capsys):

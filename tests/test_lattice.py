@@ -1,5 +1,7 @@
+import bisect
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from lclc.lattice import (
     ParametricLaw,
     Structure,
     Subject,
-    _fft_convolve,
+    _smooth_length,
     as_subject,
     difference,
     is_log_concave,
@@ -40,7 +42,7 @@ from lclc.lattice import (
     symmetry_center,
 )
 from lclc.majorization import GeometricSequence, _levels, crossing_interval, crossing_verify
-from support import random_pmf
+from support import direct_difference, random_pmf
 
 
 @st.composite
@@ -210,14 +212,14 @@ class TestMoments:
 class TestDifference:
     def test_uniform_pair(self):
         u = normalize([0.5, 0.5], 0)
-        d = difference(u, u)
+        d = difference(u)
         assert d.offset == -1
         np.testing.assert_allclose(d.weights, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_iid_geometric_gives_symmetric_geometric(self):
         for lam in (0.3, 0.7):
             x = materialize(ParametricLaw.geometric(lam))
-            d = difference(x, x)
+            d = difference(x)
             z = materialize(ParametricLaw.symmetric_geometric(lam))
             lo = max(d.offset, z.offset)
             hi = min(d.offset + len(d), z.offset + len(z))
@@ -226,26 +228,82 @@ class TestDifference:
             np.testing.assert_allclose(dv, zv, atol=1e-12)
 
     def test_dirac_difference(self):
-        d = difference(normalize([1.0], 5), normalize([1.0], 2))
-        assert d.offset == 3 and len(d) == 1
+        d = difference(normalize([1.0], 5))
+        assert d.offset == 0 and len(d) == 1
 
     @settings(max_examples=60, deadline=None)
-    @given(pmfs(), pmfs())
-    def test_mass_conserved(self, x, y):
-        assert abs(difference(x, y).total_mass() - 1.0) < 1e-12
+    @given(pmfs())
+    def test_mass_conserved(self, x):
+        assert abs(difference(x).total_mass() - 1.0) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(pmfs())
     def test_self_difference_symmetric_with_mode_at_zero(self, x):
-        d = difference(x, x)
+        d = difference(x)
         assert symmetry_center(d) == 0.0
         assert d.pmf(0) >= d.max_weight - 1e-15
 
+    @settings(max_examples=60, deadline=None)
+    @given(pmfs())
+    def test_bitwise_symmetric(self, x):
+        d = difference(x)
+        np.testing.assert_array_equal(d.weights, d.weights[::-1])
+        assert symmetry_center(d) == 0.0
+
+    def test_bitwise_symmetric_at_690k_atoms(self):
+        # symmetric geometric 0.9999: the transform path, far above the
+        # crossover, where noise clipped at 0 must trim both ends alike
+        d = difference(materialize(ParametricLaw.symmetric_geometric(0.9999)))
+        assert len(d) == 2 * 690_741 - 1
+        np.testing.assert_array_equal(d.weights, d.weights[::-1])
+        assert symmetry_center(d) == 0.0
+
     def test_fft_path_matches_direct(self):
         rng = np.random.default_rng(7)
-        a, b = rng.random(400), rng.random(300)
-        np.testing.assert_allclose(_fft_convolve(a, b), np.convolve(a, b),
-                                   rtol=0, atol=1e-10)
+        for n in (2000, 2001):  # either side of the crossover
+            x = normalize(rng.random(n))
+            d = difference(x)
+            assert d.offset == 1 - n
+            np.testing.assert_allclose(d.weights, direct_difference(x), rtol=0,
+                                       atol=1e-14 * d.max_weight)
+
+    @pytest.mark.parametrize("lam", [0.99, 0.999])
+    def test_truncated_geometric_difference_law(self, lam):
+        # on N + 1 atoms, P(D = k) is proportional to
+        # lam**|k| * (1 - lam**(2(N - |k| + 1))); the max absolute error
+        # reads 1.1e-17 at 0.99 and 1.1e-18 at 0.999
+        x = materialize(ParametricLaw.geometric(lam))
+        d = difference(x)
+        k = np.abs(np.arange(d.offset, d.offset + len(d)))
+        exact = lam**k * -np.expm1(2 * (len(x) - k) * math.log(lam))
+        exact /= exact.sum()
+        assert np.max(np.abs(d.weights - exact)) <= 1e-14 * d.max_weight
+
+    def test_smooth_length_matches_brute_force(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        smooths = [k for k in range(1, 40_001) if smooth(k)]
+        for m in range(1, 20_001):
+            assert _smooth_length(m) == smooths[bisect.bisect_left(smooths, m)]
+        assert [_smooth_length(m) for m in (138_089, 276_241, 1_381_481)] == [
+            138_240, 276_480, 1_382_400]
+
+    def test_memory_at_690k_atoms(self):
+        # symmetric geometric 0.9999: one spectrum, one inverse transform, then
+        # the mirrored law and its trimmed copy; about two 11 MiB buffers at a
+        # time (reads 22.4 MiB)
+        x = materialize(ParametricLaw.symmetric_geometric(0.9999))
+        tracemalloc.start()
+        try:
+            difference(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestSample:

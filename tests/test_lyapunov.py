@@ -54,6 +54,9 @@ class TestGridKernel:
             phi_vals, phi2_vals = _phi_on_grid(np.log(x.positive_weights()), self.ts)
             assert [phi(x, t) for t in self.ts] == phi_vals.tolist()
             assert [phi_second_derivative(x, t) for t in self.ts] == phi2_vals.tolist()
+            # an array of t gives the array of the same rows
+            assert phi(x, self.ts).tolist() == phi_vals.tolist()
+            assert phi_second_derivative(x, self.ts).tolist() == phi2_vals.tolist()
 
     def test_underflowing_rows_take_the_limit(self):
         # rows whose largest t * log x is -inf read phi = -inf and tilted
