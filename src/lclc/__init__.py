@@ -41,8 +41,6 @@ from .lyapunov import (
     counterexample_check,
     extended_phi,
     phi,
-    phi_geometric,
-    phi_geometric_second_derivative,
     phi_second_derivative,
     scan_symmetric_peaks,
 )

@@ -127,6 +127,26 @@ class LawKind(Enum):
                 return -log_c - 2.0 * lam * math.log(lam) / ((1.0 - lam) * (1.0 + lam))
         return self.log_power_sum(lam, p) / (1.0 - p)
 
+    def phi(self, lam: float, t: float) -> float:
+        """phi(t) = log t + log sum_n P(X = n)**t, for t > 0."""
+        if not t > 0.0:
+            raise ValueError(f"t must be positive, got {t}")
+        return math.log(t) + self.log_power_sum(lam, t)
+
+    def phi_second_derivative(self, lam: float, t: float) -> float:
+        """phi''(t) for t > 0. With u = lam**t, the geometric law gives
+        (u log^2 u - (1-u)^2) / ((1-u) t)^2, and the symmetric one adds
+        log^2(lam) u / (1+u)^2, the curvature of its log(1 + lam**t)."""
+        lam = check_lambda(lam)
+        if not t > 0.0:
+            raise ValueError(f"t must be positive, got {t}")
+        lam_t = math.exp(t * math.log(lam))
+        one_minus = -math.expm1(t * math.log(lam))
+        value = (lam_t * math.log(lam_t) ** 2 - one_minus**2) / (one_minus * t) ** 2
+        if self is _GEOMETRIC:
+            return value
+        return value + math.log(lam) ** 2 * lam_t / (1.0 + lam_t) ** 2
+
     def varentropy(self, lam: float) -> float:
         """V of the law: log^2(lam) * Var(n), with Var(n) = lam/(1-lam)^2 for
         the geometric law, and log^2(lam) * Var(|n|) for the symmetric one.

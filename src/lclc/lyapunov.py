@@ -18,7 +18,7 @@ import numpy as np
 
 from .entropy import log_power_sum_of_logs
 from .errors import AllZeroError, DomainError
-from .lattice import LatticePMF, LawKind, _checked_weights, normalize
+from .lattice import LatticePMF, _checked_weights, normalize
 from .report import CheckReport, from_margin
 
 DEFAULT_T_MIN = 0.05
@@ -26,7 +26,14 @@ DEFAULT_T_MAX = 40.0
 DEFAULT_N_POINTS = 256
 CONCAVITY_TOL = 1e-9
 _SCAN_RATIOS = 99  # peak ratios mu tried per half-width
-_BLOCK_ELEMENTS = 1 << 16  # grid rows x atoms per block of _phi_on_grid
+_BLOCK_ELEMENTS = 1 << 16  # grid rows x atoms (or bins) per block of _phi_on_grid
+_TAYLOR_TERMS = 24  # K: terms of exp(t d) per bin; the tail is 2**25 / 25! < 3e-18 of it
+_BIN_RHO = 2.0  # t * bin width on the binned path
+_BINNED_T_MAX = 64.0  # rows above it take the direct kernel
+_BINNED_MIN_ATOMS = 2_000  # supports below it take the direct kernel
+_TABLE_ATOMS = 1 << 16  # atoms per chunk of a moment table's bincounts
+_STRIPES = 4  # partial sums per bin in a chunk of a moment table
+_FINEST_LEVEL = math.frexp(_BIN_RHO / _BINNED_T_MAX)[1] - 1  # width 2**-5
 
 
 def _log_values(x) -> np.ndarray:
@@ -65,30 +72,21 @@ def _grid_row(x, t, row: int):
     return values if np.ndim(t) else float(values[0])
 
 
-def phi_geometric(lam: float, t: float) -> float:
-    """Closed form for the geometric law: log t + t log(1-lam) - log(1-lam**t)."""
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    return math.log(t) + LawKind.GEOMETRIC.log_power_sum(lam, t)
-
-
-def phi_geometric_second_derivative(lam: float, t: float) -> float:
-    """Closed form: (lam**t log^2(lam**t) - (1-lam**t)^2) / ((1-lam**t) t)^2."""
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    lam_t = math.exp(t * math.log(lam))
-    one_minus = -math.expm1(t * math.log(lam))
-    return (lam_t * math.log(lam_t) ** 2 - one_minus**2) / (one_minus * t) ** 2
-
-
 def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(phi, phi'') at each exponent t > 0 in ts, from the log-masses logs.
 
-    The grid is walked in blocks of rows of about _BLOCK_ELEMENTS entries.
-    Every step of a block runs in place in one workspace of two such blocks,
-    allocated once per call and small enough to stay in cache, so memory
-    stays bounded and no step maps fresh pages. A row's steps and its
-    reductions do not depend on the block height, so neither do its bits.
+    Each row takes one of two paths, chosen from logs and its own t only
+    (_bin_levels), and each path's table depends on logs alone, so a row's
+    bits do not depend on the rows evaluated with it:
+    - the binned path (_binned_rows), on supports of at least
+      _BINNED_MIN_ATOMS atoms at t <= _BINNED_T_MAX, reads a table of
+      moments of the log-masses over bins of width 2**j, the widest with
+      t 2**j <= _BIN_RHO: O(bins) exponentials per row instead of O(n).
+      One base table (_moment_table) is built at the finest width whose
+      bins times _TAYLOR_TERMS are fewer than the atoms, and each wider
+      one merges pairs of bins of the last (_merge_pairs);
+    - every other row, including one narrower than the base table, takes
+      the direct kernel (_direct_rows), which exponentiates every atom.
 
     A product t * log x_i below the float range is -inf, its limit. A row
     whose largest product t * max log x is -inf (rounding is monotone) has
@@ -103,27 +101,161 @@ def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
             phi_vals[~dead], phi2_vals[~dead] = _phi_on_grid(logs, ts[~dead])
             return phi_vals, phi2_vals
         phi_vals, var = np.empty(ts.size), np.empty(ts.size)
-        # an all-underflow grid arrives here with no rows, hence the max
-        height = max(1, min(ts.size, _BLOCK_ELEMENTS // logs.size))
-        work = np.empty((2, height, logs.size))
-        for i in range(0, ts.size, height):
-            rows = slice(i, i + height)
-            t = ts[rows]
-            w, u = work[:, :t.size]
-            np.multiply(t[:, None], logs, out=w)
-            m = w.max(axis=1, keepdims=True)
-            np.subtract(w, m, out=w)
-            np.exp(w, out=w)
-            totals = w.sum(axis=1, keepdims=True)
-            phi_vals[rows] = np.log(t) + m[:, 0] + np.log(totals[:, 0])
-            w /= totals
-            # row sums, not w @ logs or einsum: those pick their kernel by the
-            # block's shape, so a row's bits would depend on the block height
-            means = np.multiply(w, logs, out=u).sum(axis=1, keepdims=True)
-            np.subtract(logs, means, out=u)
-            np.square(u, out=u)
-            var[rows] = np.multiply(w, u, out=u).sum(axis=1)
+        levels, base = _bin_levels(logs, ts)
+        direct = levels < base
+        if direct.any():
+            phi_vals[direct], var[direct] = _direct_rows(logs, ts[direct])
+        if not direct.all():
+            lmax = logs.max()
+            table = _moment_table(logs, lmax, base)
+            for j in range(base, levels.max() + 1):
+                if j > base:
+                    table = _merge_pairs(table, math.ldexp(1.0, j - 1))
+                rows = levels == j
+                if rows.any():
+                    phi_vals[rows], var[rows] = _binned_rows(table, j, lmax, ts[rows])
         return phi_vals, var - 1.0 / ts**2
+
+
+def _direct_rows(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, tilted variance) at each t in ts, exponentiating every atom.
+
+    The grid is walked in blocks of rows of about _BLOCK_ELEMENTS entries.
+    Every step of a block runs in place in one workspace of two such blocks,
+    allocated once per call and small enough to stay in cache, so memory
+    stays bounded and no step maps fresh pages. A row's steps and its
+    reductions do not depend on the block height, so neither do its bits."""
+    phi_vals, var = np.empty(ts.size), np.empty(ts.size)
+    height = max(1, min(ts.size, _BLOCK_ELEMENTS // logs.size))
+    work = np.empty((2, height, logs.size))
+    for i in range(0, ts.size, height):
+        rows = slice(i, i + height)
+        t = ts[rows]
+        w, u = work[:, :t.size]
+        np.multiply(t[:, None], logs, out=w)
+        m = w.max(axis=1, keepdims=True)
+        np.subtract(w, m, out=w)
+        np.exp(w, out=w)
+        totals = w.sum(axis=1, keepdims=True)
+        phi_vals[rows] = np.log(t) + m[:, 0] + np.log(totals[:, 0])
+        w /= totals
+        # row sums, not w @ logs or einsum: those pick their kernel by the
+        # block's shape, so a row's bits would depend on the block height
+        means = np.multiply(w, logs, out=u).sum(axis=1, keepdims=True)
+        np.subtract(logs, means, out=u)
+        np.square(u, out=u)
+        var[rows] = np.multiply(w, u, out=u).sum(axis=1)
+    return phi_vals, var
+
+
+def _n_bins(span: float, j: int) -> int:
+    """Bins of width 2**j below max log x that cover a log-mass span."""
+    return int(math.ldexp(span, -j)) + 1
+
+
+def _bin_levels(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, int]:
+    """(levels, base): row i reads the moment table of width 2**levels[i]
+    iff levels[i] >= base, and takes the direct kernel otherwise.
+
+    A row's level is the largest j with t 2**j <= _BIN_RHO, capped at the
+    level where one bin covers every log-mass; rows above _BINNED_T_MAX
+    fall below _FINEST_LEVEL. base is the finest level from _FINEST_LEVEL up whose
+    bins times _TAYLOR_TERMS are fewer than the atoms; on supports of fewer
+    than _BINNED_MIN_ATOMS atoms, or of no such level, it lies above every
+    level."""
+    span = float(logs.max() - logs.min())
+    top = max(math.frexp(span)[1], _FINEST_LEVEL)  # 2**top > span: one bin
+    base = top + 1
+    if logs.size >= _BINNED_MIN_ATOMS:
+        base = next((j for j in range(_FINEST_LEVEL, top + 1)
+                     if _n_bins(span, j) * _TAYLOR_TERMS < logs.size), base)
+    levels = np.frexp(np.minimum(_BIN_RHO / ts, math.ldexp(1.0, top)))[1] - 1
+    return levels, base
+
+
+def _moment_table(logs: np.ndarray, lmax: float, j: int) -> np.ndarray:
+    """M[k, b] = sum of d**k over the atoms of bin b at width w = 2**j, for
+    k <= _TAYLOR_TERMS + 2.
+
+    An atom at depth e = lmax - log x_i >= 0 falls in bin
+    b = floor(e / w), whose anchor lies at depth (b + 1) w, and sits
+    d = (b + 1) w - e in (0, w] above it. d is exact unless b = 0 and
+    e < w / 2 (Sterbenz), where it is off by at most w 2**-54, and every
+    entry is a sum of non-negative terms. The atoms are taken in chunks of
+    _TABLE_ATOMS, so the temporaries stay bounded, and within a chunk in
+    turn into _STRIPES partial sums per bin, added at the end of the
+    chunk: no partial sum adds more than 1/_STRIPES of a bin's atoms in
+    sequence, and consecutive atoms of sorted log-masses do not wait on
+    one another."""
+    w = math.ldexp(1.0, j)
+    bins = _n_bins(float(lmax - logs.min()), j)
+    table = np.zeros((_TAYLOR_TERMS + 3, bins))
+    stripes = np.arange(min(logs.size, _TABLE_ATOMS)) % _STRIPES
+    for i in range(0, logs.size, _TABLE_ATOMS):
+        e = lmax - logs[i:i + _TABLE_ATOMS]
+        b = np.floor(e / w)
+        d = (b + 1.0) * w - e
+        slots = b.astype(np.intp) * _STRIPES + stripes[:e.size]
+        power = np.ones_like(d)
+        for row in table:
+            partial = np.bincount(slots, weights=power, minlength=bins * _STRIPES)
+            row += partial.reshape(bins, _STRIPES).sum(axis=1)
+            power *= d
+    return table
+
+
+def _merge_pairs(table: np.ndarray, w: float) -> np.ndarray:
+    """The moment table at width 2 w from the table at width w: bin b of the
+    new table joins bins 2b and 2b + 1 and is anchored at the anchor of
+    2b + 1, which bin 2b's lies w above, so
+    M'_k = M_k(2b + 1) + sum_i C(k, i) w**(k-i) M_i(2b), all terms >= 0.
+
+    The binomial sums are Pascal's rule applied in place to M_i(2b) / w**i,
+    one stage per moment; scaling by a power of two is exact."""
+    if table.shape[1] % 2:
+        table = np.concatenate((table, np.zeros((table.shape[0], 1))), axis=1)
+    scale = w ** np.arange(table.shape[0])[:, None]
+    shifted = table[:, 0::2] / scale
+    for k in range(1, table.shape[0]):
+        shifted[k:] += shifted[k - 1:-1]
+    return table[:, 1::2] + shifted * scale
+
+
+def _binned_rows(table: np.ndarray, j: int, lmax: float,
+                 ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, tilted variance) at each t in ts from the moment table at width
+    w = 2**j, where t w <= _BIN_RHO.
+
+    With o_b = -(b + 1) w the exact offset of bin b's anchor from max log x,
+    A_r(b) = sum over the bin of exp(t d) d**r = sum_k t**k / k! M_{k+r}(b)
+    by Horner, truncated after _TAYLOR_TERMS terms. Then the tilted sum is
+    S = sum_b exp(t o_b) A_0(b), so phi = log t + t max log x + log S, the
+    tilted mean of the log-masses less max log x is
+    mu = sum_b exp(t o_b) (o_b A_0 + A_1) / S, and the tilted variance is
+    sum_b exp(t o_b) ((o_b - mu)**2 A_0 + 2 (o_b - mu) A_1 + A_2) / S.
+    The three Horner arrays are walked in blocks of rows of about
+    _BLOCK_ELEMENTS entries in all, and each row is reduced with a row sum,
+    as in _direct_rows."""
+    bins = table.shape[1]
+    offsets = -math.ldexp(1.0, j) * np.arange(1.0, bins + 1.0)
+    phi_vals, var = np.empty(ts.size), np.empty(ts.size)
+    height = max(1, min(ts.size, _BLOCK_ELEMENTS // (3 * bins)))
+    for i in range(0, ts.size, height):
+        rows = slice(i, i + height)
+        t = ts[rows, None]
+        a = np.repeat(table[_TAYLOR_TERMS:, None, :], t.size, axis=1)
+        for k in range(_TAYLOR_TERMS, 0, -1):
+            a *= t / k
+            a += table[k - 1:k + 2, None, :]
+        tilt = np.multiply(t, offsets)
+        a *= np.exp(tilt, out=tilt)
+        a0, a1, a2 = a
+        total = a0.sum(axis=1)
+        phi_vals[rows] = np.log(t[:, 0]) + t[:, 0] * lmax + np.log(total)
+        mean = (a0 * offsets + a1).sum(axis=1) / total
+        u = offsets - mean[:, None]
+        var[rows] = ((u * a0 + 2.0 * a1) * u + a2).sum(axis=1) / total
+    return phi_vals, var
 
 
 def check_concavity(x) -> CheckReport:

@@ -13,7 +13,9 @@ every lag, which the library's mirrored FFT autocorrelation must match to
 rounding. The loop_* functions evaluate hinge expectations, means, the
 convex-order certificate and the layer-cake sum one segment and one hinge
 at a time; the library's suffix-sum tables and array sums must agree with
-them to rounding. The ref_* functions are the closed forms of the two
+them to rounding. ref_K_constant is the tilted-varentropy constant taken
+tilt by tilt, which the library's one kernel pass must match, and
+mp_phi_rows evaluates phi and phi'' in 40-digit mpmath. The ref_* functions are the closed forms of the two
 parametric families written as one function per family and quantity;
 LawKind's methods must reproduce them bit for bit.
 """
@@ -22,7 +24,8 @@ import math
 
 import numpy as np
 
-from lclc.entropy import power_sum
+from lclc.entropy import power_sum, tilt, varentropy
+from lclc.inequalities import DEFAULT_ALPHA_GRID
 from lclc.errors import BadLambdaError, BadOrdersError, MeanMismatchError
 from lclc.lattice import LatticePMF, normalize, symmetry_center
 from lclc.majorization import (
@@ -300,3 +303,29 @@ def ref_varentropy_symmetric_geometric(lam: float) -> float:
     e_abs = 2.0 * lam / ((1.0 - lam) * (1.0 + lam))
     e_sq = 2.0 * lam / (1.0 - lam) ** 2
     return math.log(lam) ** 2 * (e_sq - e_abs * e_abs)
+
+
+def ref_K_constant(x: LatticePMF) -> float:
+    """max over DEFAULT_ALPHA_GRID of the varentropy of the tilt of x by a."""
+    return max(varentropy(tilt(x, float(a))) for a in DEFAULT_ALPHA_GRID)
+
+
+def mp_phi_rows(logs: np.ndarray, ts) -> tuple[list[float], list[float], list[float]]:
+    """(phi, phi'', tilted variance) at each t, in 40-digit arithmetic on the
+    float log-masses taken as exact."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        logs_mp = [mpmath.mpf(float(v)) for v in logs]
+        top = max(logs_mp)
+        phi_vals, phi2_vals, var_vals = [], [], []
+        for t in ts:
+            t = mpmath.mpf(float(t))
+            weights = [mpmath.exp(t * (v - top)) for v in logs_mp]
+            total = mpmath.fsum(weights)
+            mean = mpmath.fsum(w * v for w, v in zip(weights, logs_mp)) / total
+            var = mpmath.fsum(w * (v - mean) ** 2 for w, v in zip(weights, logs_mp)) / total
+            phi_vals.append(float(mpmath.log(t) + t * top + mpmath.log(total)))
+            phi2_vals.append(float(var - 1 / t**2))
+            var_vals.append(float(var))
+    return phi_vals, phi2_vals, var_vals

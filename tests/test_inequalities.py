@@ -34,6 +34,7 @@ from support import (
     random_monotone_log_concave,
     random_pmf,
     random_symmetric_log_concave,
+    ref_K_constant,
 )
 
 INF = math.inf
@@ -279,6 +280,23 @@ class TestKConstant:
         x = materialize(ParametricLaw.geometric(0.9))
         value = K_constant(x)
         assert 0.9 < value < 1.0
+
+    def test_matches_the_tilt_by_tilt_form(self):
+        # one kernel pass, a**2 phi''(a) + 1, against V(tilt(x, a)) taken
+        # tilt by tilt, on 3 to 3,437 atoms; the larger supports put the
+        # kernel's rows at a <= 64 on the binned path
+        rng = np.random.default_rng(45)
+        pmfs = [normalize([0.5, 0.3, 0.2]), normalize(np.ones(3)),
+                materialize(ParametricLaw.geometric(0.9)),
+                materialize(ParametricLaw.geometric(0.99)),
+                materialize(ParametricLaw.symmetric_geometric(0.9))]
+        pmfs += [random_monotone_log_concave(rng, max_support=3437, min_support=3)
+                 for _ in range(6)]
+        pmfs += [random_log_concave(rng, max_support=3437, min_support=2000, max_step=0.02)
+                 for _ in range(3)]
+        assert max(x.support_size for x in pmfs) == 3437
+        for x in pmfs:
+            assert K_constant(x) == pytest.approx(ref_K_constant(x), abs=1e-12)
 
 
 class TestEpiReversal:
