@@ -4,7 +4,7 @@ t -> log(t * sum x_i**t), majorization against geometric comparators,
 concentration of information content, and the associated sharp constants.
 """
 
-from .entropy import info_content, power_sum, renyi, shannon, tilt, varentropy
+from .entropy import power_sum, renyi, shannon, varentropy
 from .inequalities import (
     C_constant,
     K_constant,
@@ -29,11 +29,9 @@ from .lattice import (
     difference,
     is_log_concave,
     materialize,
-    mean_variance,
     monotonicity,
     normalize,
     pmf_from_json,
-    sample,
     symmetry_center,
 )
 from .lyapunov import (

@@ -207,7 +207,6 @@ VIEWS = {
         REFUSE, ("lam", "gamma")),
     "epi": ((EPI_REVERSAL,), REFUSE, PMF + ("alpha",)),
 }
-COMMANDS = tuple(VIEWS)
 
 
 def _evaluate(check: Check, s: Subject | None, params: dict[str, Any],

@@ -1,5 +1,5 @@
-"""Power sums, the Renyi entropy family, varentropy, and exponential tilting
-of finite-support pmfs.
+"""Power sums, the Renyi entropy family and varentropy of finite-support
+pmfs.
 
 All entropies are in nats. The closed forms of the geometric and symmetric
 geometric families are methods of lattice.LawKind.
@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import OutOfSupportError
-from .lattice import LatticePMF, check_order, normalize
+from .lattice import LatticePMF, check_order
 
 INF = math.inf
 
@@ -73,29 +72,3 @@ def varentropy(x: LatticePMF) -> float:
     second = float(np.dot(w, logs * logs))
     return max(0.0, second - mean * mean)
 
-
-def info_content(x: LatticePMF, i: int) -> float:
-    """-log P(X = i); raises OutOfSupportError where the mass is zero."""
-    mass = x.pmf(i)
-    if mass <= 0.0:
-        raise OutOfSupportError(f"index {i} carries no mass")
-    return -math.log(mass)
-
-
-def tilt(x: LatticePMF, alpha: float) -> LatticePMF:
-    """Exponential tilt: pmf proportional to x_i**alpha, alpha > 0.
-
-    A product alpha * log x_i below the float range is -inf, as in
-    log_power_sum_of_logs; when every product is, the tilt is its
-    alpha -> inf limit, the uniform law on the largest masses."""
-    if not alpha > 0.0:
-        raise ValueError(f"tilt exponent must be positive, got {alpha}")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * log 1 is NaN
-        s = alpha * x.log_weights()
-    finite = s[np.isfinite(s)]
-    if finite.size == 0:
-        return normalize(x.weights == x.max_weight, x.offset)
-    m = float(finite.max())
-    with np.errstate(invalid="ignore"):
-        w = np.exp(s - m)  # exp(-inf) = 0 keeps zero-mass indices at zero
-    return normalize(w, x.offset)

@@ -33,10 +33,6 @@ class BadLambdaError(LatticeError):
     """Law parameter outside the open interval (0, 1)."""
 
 
-class OutOfSupportError(LatticeError):
-    """Index carries no probability mass (information content is infinite)."""
-
-
 class NoBracketError(LatticeError):
     """Root finding could not bracket a sign change."""
 

@@ -110,15 +110,16 @@ def check_varentropy(x) -> CheckReport:
 
 
 def K_constant(x: LatticePMF) -> float:
-    """Grid lower bound of sup over alpha > 0 of V(tilt(x, alpha)).
+    """Grid lower bound of sup over alpha > 0 of the varentropy of the pmf
+    proportional to x**alpha.
 
     The grid, DEFAULT_ALPHA_GRID, is 200 log-spaced points on [1e-3, 1e3];
-    the true supremum can only exceed the returned value. The varentropy of
-    the tilt is a**2 Var_a(log x) = a**2 phi''(a) + 1, so one kernel pass
-    over the grid gives every point. A row whose products a log x_i all
-    underflow reads phi'' = -1/a**2, hence V = 0, the varentropy of the
-    tilt's limit, uniform on the largest masses; rounding below 0 is
-    clamped, as varentropy clamps it.
+    the true supremum can only exceed the returned value. The pmf
+    proportional to x**a has varentropy a**2 Var_a(log x) = a**2 phi''(a) + 1,
+    so one kernel pass over the grid gives every point. A row whose
+    products a log x_i all underflow reads phi'' = -1/a**2, hence V = 0, the
+    varentropy of the limit as a grows, uniform on the largest masses;
+    rounding below 0 is clamped, as varentropy clamps it.
     """
     phi2 = lyapunov.phi_second_derivative(x, DEFAULT_ALPHA_GRID)
     return max(0.0, 1.0 + float((DEFAULT_ALPHA_GRID**2 * phi2).max()))

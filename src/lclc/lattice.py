@@ -1,16 +1,15 @@
 """Probability mass functions on the integer lattice.
 
 Carriers and structural predicates for finite-support distributions:
-normalization, log-concavity, monotonicity, symmetry detection, moments,
-the law of X - Y for iid X, Y, the two infinite
-parametric families (geometric and symmetric geometric) with their closed
-forms and their controlled truncation to finite support, and the
-hypothesis conditions the checks require of a Subject.
+normalization, log-concavity, monotonicity, symmetry detection, the law
+of X - Y for iid X, Y, the two infinite parametric families (geometric
+and symmetric geometric) with their closed forms and their controlled
+truncation to finite support, and the hypothesis conditions the checks
+require of a Subject.
 
 All values are immutable after construction and safe to share across
-threads; the only caller-visible state is the sampling seed. A Subject
-pairs a pmf with the facts derived from it, computed at most once for
-as long as the subject lives.
+threads. A Subject pairs a pmf with the facts derived from it, computed
+at most once for as long as the subject lives.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ _DIRECT_PRODUCTS = 4_000_000  # difference convolves directly up to ~2,000 atoms
 
 
 class Direction(Enum):
-    """Monotonicity of a pmf restricted to its support."""
+    """Monotonicity of a pmf on its support interval, zero masses included."""
 
     INCREASING = "increasing"
     DECREASING = "decreasing"
@@ -222,21 +221,9 @@ class LatticePMF:
             return float(self.weights[j])
         return 0.0
 
-    def log_weights(self) -> np.ndarray:
-        """Elementwise log with -inf at zero-mass indices."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.weights)
-
     def positive_weights(self) -> np.ndarray:
         w = self.weights
         return w[w > 0.0]
-
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def reversed(self) -> "LatticePMF":
-        """Law of -X; value multiset (hence all entropies) unchanged."""
-        return LatticePMF(-(self.offset + len(self) - 1), self.weights[::-1])
 
 
 def _float_sized_offset(offset) -> int:
@@ -298,12 +285,11 @@ def is_log_concave(x: LatticePMF) -> bool:
     are not rejected for rounding.
     """
     w = x.weights
-    nonzero = np.flatnonzero(w > 0.0)
-    if nonzero[-1] - nonzero[0] + 1 != nonzero.size:
-        return False  # interior zero violates the support-interval condition
-    if nonzero.size <= 2:
+    if not w.all():
+        return False  # the ends are positive, so a zero is an interior gap
+    if w.size <= 2:
         return True
-    logw = np.log(w[nonzero])
+    logw = np.log(w)
     mid = 2.0 * logw[1:-1]
     outer = logw[:-2] + logw[2:]
     scale = np.maximum(1.0, np.maximum(np.abs(mid), np.abs(outer)))
@@ -311,12 +297,12 @@ def is_log_concave(x: LatticePMF) -> bool:
 
 
 def monotonicity(x: LatticePMF) -> Direction:
-    """Classify monotone behaviour over adjacent positive-mass pairs."""
+    """Classify monotone behaviour over every adjacent pair of the support
+    interval, zero masses included."""
     w = x.weights
     left, right = w[:-1], w[1:]
-    both = (left > 0.0) & (right > 0.0)
-    increasing = bool(np.all(right[both] >= left[both]))
-    decreasing = bool(np.all(right[both] <= left[both]))
+    increasing = bool(np.all(right >= left))
+    decreasing = bool(np.all(right <= left))
     if increasing and decreasing:
         return Direction.BOTH
     if increasing:
@@ -437,15 +423,6 @@ def as_subject(x) -> Subject:
     return x if isinstance(x, Subject) else Subject(x)
 
 
-def mean_variance(x: LatticePMF) -> tuple[float, float]:
-    """Exact finite-sum mean and variance, summed relative to the offset,
-    which is added once, so a large offset costs the mean no precision."""
-    idx = np.arange(len(x), dtype=np.float64)
-    mean = float(np.dot(x.weights, idx))
-    var = float(np.dot(x.weights, (idx - mean) ** 2))
-    return x.offset + mean, var
-
-
 def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> LatticePMF:
     """Truncate an infinite-support law to a finite pmf of at most
     MAX_SUPPORT atoms, else DomainError before any allocation.
@@ -517,18 +494,6 @@ def _smooth_length(m: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def sample(x: LatticePMF, seed: int, count: int) -> np.ndarray:
-    """Inverse-CDF sampling; bit-reproducible for a fixed seed."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    cdf = np.cumsum(x.weights)
-    cdf[-1] = max(cdf[-1], 1.0)  # guard rounding at the top end
-    j = np.searchsorted(cdf, u, side="right")
-    return (j + x.offset).astype(np.int64)
 
 
 def pmf_from_json(doc: dict, tail_tol: float = DEFAULT_TAIL_TOL) -> LatticePMF:

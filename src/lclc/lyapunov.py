@@ -88,64 +88,63 @@ def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     - every other row, including one narrower than the base table, takes
       the direct kernel (_direct_rows), which exponentiates every atom.
 
-    A product t * log x_i below the float range is -inf, its limit. A row
-    whose largest product t * max log x is -inf (rounding is monotone) has
-    phi = -inf and tilted variance 0, the limits as t grows. A t whose
+    Both paths measure the log-masses from their largest, max log x, and
+    return log S, S = sum_i exp(t (log x_i - max log x)), and the tilted
+    variance; phi = log t + t max log x + log S is formed once, here.
+    A product below the float range is -inf, its limit, so a row whose
+    t max log x is -inf reads phi = -inf from this anchor alone; its atoms
+    below the largest then lie so deep that exp(t (log x_i - max log x))
+    is 0, so its tilted variance is 0: the limits as t grows. A t whose
     square underflows has phi'' = -inf, its limit as t -> 0."""
     if not np.all(ts > 0.0):
         raise ValueError(f"t must be positive, got {ts.min()}")
+    lmax = logs.max()
+    depths = logs - lmax
+    log_s, var = np.empty(ts.size), np.empty(ts.size)
     with np.errstate(over="ignore", divide="ignore"):
-        dead = ts * logs.max() == -np.inf
-        if dead.any():
-            phi_vals, phi2_vals = np.full(ts.size, -np.inf), 0.0 - 1.0 / ts**2
-            phi_vals[~dead], phi2_vals[~dead] = _phi_on_grid(logs, ts[~dead])
-            return phi_vals, phi2_vals
-        phi_vals, var = np.empty(ts.size), np.empty(ts.size)
-        levels, base = _bin_levels(logs, ts)
+        levels, base = _bin_levels(depths, ts)
         direct = levels < base
         if direct.any():
-            phi_vals[direct], var[direct] = _direct_rows(logs, ts[direct])
+            log_s[direct], var[direct] = _direct_rows(depths, ts[direct])
         if not direct.all():
-            lmax = logs.max()
-            table = _moment_table(logs, lmax, base)
+            table = _moment_table(depths, base)
             for j in range(base, levels.max() + 1):
                 if j > base:
                     table = _merge_pairs(table, math.ldexp(1.0, j - 1))
                 rows = levels == j
                 if rows.any():
-                    phi_vals[rows], var[rows] = _binned_rows(table, j, lmax, ts[rows])
-        return phi_vals, var - 1.0 / ts**2
+                    log_s[rows], var[rows] = _binned_rows(table, j, ts[rows])
+        return np.log(ts) + ts * lmax + log_s, var - 1.0 / ts**2
 
 
-def _direct_rows(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, tilted variance) at each t in ts, exponentiating every atom.
+def _direct_rows(depths: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log S, tilted variance) at each t in ts, exponentiating every atom's
+    depth log x_i - max log x <= 0.
 
     The grid is walked in blocks of rows of about _BLOCK_ELEMENTS entries.
     Every step of a block runs in place in one workspace of two such blocks,
     allocated once per call and small enough to stay in cache, so memory
     stays bounded and no step maps fresh pages. A row's steps and its
     reductions do not depend on the block height, so neither do its bits."""
-    phi_vals, var = np.empty(ts.size), np.empty(ts.size)
-    height = max(1, min(ts.size, _BLOCK_ELEMENTS // logs.size))
-    work = np.empty((2, height, logs.size))
+    log_s, var = np.empty(ts.size), np.empty(ts.size)
+    height = max(1, min(ts.size, _BLOCK_ELEMENTS // depths.size))
+    work = np.empty((2, height, depths.size))
     for i in range(0, ts.size, height):
         rows = slice(i, i + height)
         t = ts[rows]
         w, u = work[:, :t.size]
-        np.multiply(t[:, None], logs, out=w)
-        m = w.max(axis=1, keepdims=True)
-        np.subtract(w, m, out=w)
+        np.multiply(t[:, None], depths, out=w)
         np.exp(w, out=w)
         totals = w.sum(axis=1, keepdims=True)
-        phi_vals[rows] = np.log(t) + m[:, 0] + np.log(totals[:, 0])
+        log_s[rows] = np.log(totals[:, 0])
         w /= totals
         # row sums, not w @ logs or einsum: those pick their kernel by the
         # block's shape, so a row's bits would depend on the block height
-        means = np.multiply(w, logs, out=u).sum(axis=1, keepdims=True)
-        np.subtract(logs, means, out=u)
+        means = np.multiply(w, depths, out=u).sum(axis=1, keepdims=True)
+        np.subtract(depths, means, out=u)
         np.square(u, out=u)
         var[rows] = np.multiply(w, u, out=u).sum(axis=1)
-    return phi_vals, var
+    return log_s, var
 
 
 def _n_bins(span: float, j: int) -> int:
@@ -153,9 +152,10 @@ def _n_bins(span: float, j: int) -> int:
     return int(math.ldexp(span, -j)) + 1
 
 
-def _bin_levels(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, int]:
-    """(levels, base): row i reads the moment table of width 2**levels[i]
-    iff levels[i] >= base, and takes the direct kernel otherwise.
+def _bin_levels(depths: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, int]:
+    """(levels, base) for the depths log x_i - max log x: row i reads the
+    moment table of width 2**levels[i] iff levels[i] >= base, and takes the
+    direct kernel otherwise.
 
     A row's level is the largest j with t 2**j <= _BIN_RHO, capped at the
     level where one bin covers every log-mass; rows above _BINNED_T_MAX
@@ -163,21 +163,21 @@ def _bin_levels(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, int]:
     bins times _TAYLOR_TERMS are fewer than the atoms; on supports of fewer
     than _BINNED_MIN_ATOMS atoms, or of no such level, it lies above every
     level."""
-    span = float(logs.max() - logs.min())
+    span = float(-depths.min())
     top = max(math.frexp(span)[1], _FINEST_LEVEL)  # 2**top > span: one bin
     base = top + 1
-    if logs.size >= _BINNED_MIN_ATOMS:
+    if depths.size >= _BINNED_MIN_ATOMS:
         base = next((j for j in range(_FINEST_LEVEL, top + 1)
-                     if _n_bins(span, j) * _TAYLOR_TERMS < logs.size), base)
+                     if _n_bins(span, j) * _TAYLOR_TERMS < depths.size), base)
     levels = np.frexp(np.minimum(_BIN_RHO / ts, math.ldexp(1.0, top)))[1] - 1
     return levels, base
 
 
-def _moment_table(logs: np.ndarray, lmax: float, j: int) -> np.ndarray:
+def _moment_table(depths: np.ndarray, j: int) -> np.ndarray:
     """M[k, b] = sum of d**k over the atoms of bin b at width w = 2**j, for
     k <= _TAYLOR_TERMS + 2.
 
-    An atom at depth e = lmax - log x_i >= 0 falls in bin
+    An atom at depth e = max log x - log x_i >= 0 falls in bin
     b = floor(e / w), whose anchor lies at depth (b + 1) w, and sits
     d = (b + 1) w - e in (0, w] above it. d is exact unless b = 0 and
     e < w / 2 (Sterbenz), where it is off by at most w 2**-54, and every
@@ -188,11 +188,11 @@ def _moment_table(logs: np.ndarray, lmax: float, j: int) -> np.ndarray:
     sequence, and consecutive atoms of sorted log-masses do not wait on
     one another."""
     w = math.ldexp(1.0, j)
-    bins = _n_bins(float(lmax - logs.min()), j)
+    bins = _n_bins(float(-depths.min()), j)
     table = np.zeros((_TAYLOR_TERMS + 3, bins))
-    stripes = np.arange(min(logs.size, _TABLE_ATOMS)) % _STRIPES
-    for i in range(0, logs.size, _TABLE_ATOMS):
-        e = lmax - logs[i:i + _TABLE_ATOMS]
+    stripes = np.arange(min(depths.size, _TABLE_ATOMS)) % _STRIPES
+    for i in range(0, depths.size, _TABLE_ATOMS):
+        e = -depths[i:i + _TABLE_ATOMS]
         b = np.floor(e / w)
         d = (b + 1.0) * w - e
         slots = b.astype(np.intp) * _STRIPES + stripes[:e.size]
@@ -221,24 +221,23 @@ def _merge_pairs(table: np.ndarray, w: float) -> np.ndarray:
     return table[:, 1::2] + shifted * scale
 
 
-def _binned_rows(table: np.ndarray, j: int, lmax: float,
-                 ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, tilted variance) at each t in ts from the moment table at width
+def _binned_rows(table: np.ndarray, j: int, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log S, tilted variance) at each t in ts from the moment table at width
     w = 2**j, where t w <= _BIN_RHO.
 
     With o_b = -(b + 1) w the exact offset of bin b's anchor from max log x,
     A_r(b) = sum over the bin of exp(t d) d**r = sum_k t**k / k! M_{k+r}(b)
     by Horner, truncated after _TAYLOR_TERMS terms. Then the tilted sum is
-    S = sum_b exp(t o_b) A_0(b), so phi = log t + t max log x + log S, the
-    tilted mean of the log-masses less max log x is
-    mu = sum_b exp(t o_b) (o_b A_0 + A_1) / S, and the tilted variance is
+    S = sum_b exp(t o_b) A_0(b), the tilted mean of the log-masses less
+    max log x is mu = sum_b exp(t o_b) (o_b A_0 + A_1) / S, and the tilted
+    variance is
     sum_b exp(t o_b) ((o_b - mu)**2 A_0 + 2 (o_b - mu) A_1 + A_2) / S.
     The three Horner arrays are walked in blocks of rows of about
     _BLOCK_ELEMENTS entries in all, and each row is reduced with a row sum,
     as in _direct_rows."""
     bins = table.shape[1]
     offsets = -math.ldexp(1.0, j) * np.arange(1.0, bins + 1.0)
-    phi_vals, var = np.empty(ts.size), np.empty(ts.size)
+    log_s, var = np.empty(ts.size), np.empty(ts.size)
     height = max(1, min(ts.size, _BLOCK_ELEMENTS // (3 * bins)))
     for i in range(0, ts.size, height):
         rows = slice(i, i + height)
@@ -251,11 +250,11 @@ def _binned_rows(table: np.ndarray, j: int, lmax: float,
         a *= np.exp(tilt, out=tilt)
         a0, a1, a2 = a
         total = a0.sum(axis=1)
-        phi_vals[rows] = np.log(t[:, 0]) + t[:, 0] * lmax + np.log(total)
+        log_s[rows] = np.log(total)
         mean = (a0 * offsets + a1).sum(axis=1) / total
         u = offsets - mean[:, None]
         var[rows] = ((u * a0 + 2.0 * a1) * u + a2).sum(axis=1) / total
-    return phi_vals, var
+    return log_s, var
 
 
 def check_concavity(x) -> CheckReport:

@@ -132,9 +132,6 @@ class PowerDensity:
                           np.where(flat >= knots[-1], 0.0, inside))
         return values.reshape(t.shape)[()]
 
-    def power(self, q: float) -> "PowerDensity":
-        return PowerDensity(self.base, self.exponent * q)
-
 
 def _suffix_sum(terms: np.ndarray) -> np.ndarray:
     """s_k = sum of terms[j] over j >= k, with a trailing s_K = 0."""
@@ -171,8 +168,8 @@ def _levels(s: Subject) -> LevelCount:
     return s.fact("level_count", lambda: level_count(s.pmf))
 
 
-def power_transform_density(d, p: float) -> PowerDensity:
-    """Density descriptor of U**p for U drawn from d (step or power)."""
+def power_transform_density(d: LevelCount, p: float) -> PowerDensity:
+    """Density descriptor of U**p for U drawn from the step density d."""
     return d.power(p)
 
 

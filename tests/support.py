@@ -13,8 +13,9 @@ every lag, which the library's mirrored FFT autocorrelation must match to
 rounding. The loop_* functions evaluate hinge expectations, means, the
 convex-order certificate and the layer-cake sum one segment and one hinge
 at a time; the library's suffix-sum tables and array sums must agree with
-them to rounding. ref_K_constant is the tilted-varentropy constant taken
-tilt by tilt, which the library's one kernel pass must match, and
+them to rounding. tilt is the exponential tilt of a pmf, and
+ref_K_constant the tilted-varentropy constant taken tilt by tilt, which
+the library's one kernel pass must match, and
 mp_phi_rows evaluates phi and phi'' in 40-digit mpmath. The ref_* functions are the closed forms of the two
 parametric families written as one function per family and quantity;
 LawKind's methods must reproduce them bit for bit.
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from lclc.entropy import power_sum, tilt, varentropy
+from lclc.entropy import power_sum, varentropy
 from lclc.inequalities import DEFAULT_ALPHA_GRID
 from lclc.errors import BadLambdaError, BadOrdersError, MeanMismatchError
 from lclc.lattice import LatticePMF, normalize, symmetry_center
@@ -303,6 +304,25 @@ def ref_varentropy_symmetric_geometric(lam: float) -> float:
     e_abs = 2.0 * lam / ((1.0 - lam) * (1.0 + lam))
     e_sq = 2.0 * lam / (1.0 - lam) ** 2
     return math.log(lam) ** 2 * (e_sq - e_abs * e_abs)
+
+
+def tilt(x: LatticePMF, alpha: float) -> LatticePMF:
+    """Exponential tilt: pmf proportional to x_i**alpha, alpha > 0.
+
+    A product alpha * log x_i below the float range is -inf, its limit;
+    when every product is, the tilt is its alpha -> inf limit, the uniform
+    law on the largest masses."""
+    if not alpha > 0.0:
+        raise ValueError(f"tilt exponent must be positive, got {alpha}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = alpha * np.log(x.weights)  # inf * log 1 is NaN
+    finite = s[np.isfinite(s)]
+    if finite.size == 0:
+        return normalize(x.weights == x.max_weight, x.offset)
+    m = float(finite.max())
+    with np.errstate(invalid="ignore"):
+        w = np.exp(s - m)  # exp(-inf) = 0 keeps zero-mass indices at zero
+    return normalize(w, x.offset)
 
 
 def ref_K_constant(x: LatticePMF) -> float:

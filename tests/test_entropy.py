@@ -7,19 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lclc import entropy
-from lclc.entropy import (
-    info_content,
-    log_power_sum,
-    power_sum,
-    renyi,
-    shannon,
-    tilt,
-    varentropy,
-)
-from lclc.errors import BadLambdaError, BadOrdersError, OutOfSupportError
+from lclc.entropy import log_power_sum, power_sum, renyi, shannon, varentropy
+from lclc.errors import BadLambdaError, BadOrdersError
 from lclc.lattice import LatticePMF, LawKind, ParametricLaw, check_order, materialize, normalize
 import support
-from support import random_monotone_log_concave, random_pmf
+from support import random_monotone_log_concave, random_pmf, tilt
 
 INF = math.inf
 
@@ -257,27 +249,6 @@ class TestTilt:
         assert peaks.offset == -1 and peaks.weights.tolist() == [0.5, 0.5]
         assert mixed.offset == 0 and mixed.weights.tolist() == [1.0]
         assert dirac.offset == 4 and dirac.weights.tolist() == [1.0]
-
-
-class TestInfoContent:
-    def test_uniform(self):
-        x = normalize(np.ones(8))
-        assert info_content(x, 3) == pytest.approx(math.log(8.0))
-
-    def test_dirac(self):
-        assert info_content(normalize([1.0], 0), 0) == 0.0
-
-    def test_geometric(self):
-        x = materialize(ParametricLaw.geometric(0.5))
-        assert info_content(x, 2) == pytest.approx(3.0 * math.log(2.0), abs=1e-12)
-
-    def test_outside_support_raises(self):
-        x = normalize([1, 1], 0)
-        with pytest.raises(OutOfSupportError):
-            info_content(x, 5)
-        holey = LatticePMF(0, np.array([0.5, 0.0, 0.5]))
-        with pytest.raises(OutOfSupportError):
-            info_content(holey, 1)
 
 
 def test_info_summary_invariants():

@@ -20,7 +20,8 @@ from lclc.lyapunov import (
     phi_second_derivative,
     scan_symmetric_peaks,
 )
-from support import mp_phi_rows, random_log_concave, random_monotone_log_concave, random_pmf
+from support import (mp_phi_rows, random_log_concave, random_monotone_log_concave, random_pmf,
+                     tilt)
 
 
 FLOORS = (0, math.inf)  # _BINNED_MIN_ATOMS that force the binned path, then the direct one
@@ -36,7 +37,7 @@ def _kernel_cases():
 
 def _binned(logs, ts):
     """Which rows of the grid ts take the binned path."""
-    levels, base = lyapunov._bin_levels(logs, ts)
+    levels, base = lyapunov._bin_levels(logs - logs.max(), ts)
     return levels >= base
 
 
@@ -115,8 +116,8 @@ class TestGridKernel:
         # rows whose largest t * log x is -inf read phi = -inf and tilted
         # variance 0, with no warning; the other rows keep their bits. On
         # 100 atoms the rows at t <= 64 can take the binned path, on 10 they
-        # cannot; at t = 1e300 the direct kernel's mean of 100 equal
-        # log-masses rounds, so the variance is 0 only to rounding
+        # cannot; at t = 1e300 every depth of equal log-masses is 0, so the
+        # variance is 0 and 1/t**2 underflows
         ts = np.array([0.5, 1e308, 2.0, 1e300])
         for floor in FLOORS:
             monkeypatch.setattr(lyapunov, "_BINNED_MIN_ATOMS", floor)
@@ -127,11 +128,22 @@ class TestGridKernel:
                     phi_vals, phi2_vals = _phi_on_grid(logs, ts)
                 assert phi_vals[1] == -math.inf and phi2_vals[1] == 0.0
                 assert phi_vals[3] == pytest.approx(math.log(1e300) - 1e300 * math.log(n))
-                assert abs(phi2_vals[3]) <= (0.0 if n == 10 else 1e-15)
+                assert phi2_vals[3] == 0.0
                 for k in (0, 2):
                     alone = _phi_on_grid(logs, ts[k:k + 1])
                     assert (phi_vals[k], phi2_vals[k]) == (alone[0][0], alone[1][0])
                     assert phi2_vals[k] == pytest.approx(-1.0 / ts[k] ** 2, abs=1e-15)
+
+    def test_equal_masses_have_no_tilted_variance(self):
+        # every depth below the largest log-mass is 0, so at any t the
+        # tilted variance is 0 and phi'' is -1/t**2 to the bit, not a
+        # rounding residue of the log-masses' mean that can exceed it
+        ts = np.array([1e15, 1e16, 1e300])
+        logs = np.log(normalize(np.ones(100)).positive_weights())
+        phi2_vals = _phi_on_grid(logs, ts)[1]
+        with np.errstate(over="ignore"):  # (1e300)**2
+            assert phi2_vals.tolist() == (0.0 - 1.0 / ts**2).tolist()
+        assert (phi2_vals <= 0.0).all()
 
     @pytest.mark.parametrize("n", [3, 300, 2**10, 5_000, 2**16, 70_000])
     def test_block_size_is_bitwise(self, n, monkeypatch):
@@ -227,11 +239,11 @@ class TestGridKernel:
         # merging pairs of bins equals binning at the wider width, up to
         # the rounding of sums of non-negative terms
         logs = np.log(materialize(ParametricLaw.geometric(0.99)).positive_weights())
-        lmax = float(logs.max())
-        table = lyapunov._moment_table(logs, lmax, lyapunov._FINEST_LEVEL)
+        depths = logs - logs.max()
+        table = lyapunov._moment_table(depths, lyapunov._FINEST_LEVEL)
         for j in range(lyapunov._FINEST_LEVEL + 1, 7):
             table = lyapunov._merge_pairs(table, math.ldexp(1.0, j - 1))
-            np.testing.assert_allclose(table, lyapunov._moment_table(logs, lmax, j),
+            np.testing.assert_allclose(table, lyapunov._moment_table(depths, j),
                                        rtol=1e-12, atol=0.0)
 
     def test_replicated_witness_fails_on_the_binned_path(self):
@@ -324,7 +336,6 @@ class TestSecondDerivative:
 
     def test_matches_tilted_varentropy_form(self):
         rng = np.random.default_rng(6)
-        from lclc.entropy import tilt
         for _ in range(30):
             x = random_pmf(rng, max_support=30)
             for t in (0.5, 1.5, 3.0):
