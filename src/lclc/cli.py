@@ -124,16 +124,16 @@ def _crossing(s: Subject, params) -> list[CheckReport]:
 def _entropy(s: Subject, params) -> list[CheckReport]:
     p = params.get("p")
     if p is not None:
-        return [info("renyi_entropy", entropy.renyi(s.pmf, p), {"p": p})]
-    return [info("shannon_entropy", entropy.shannon(s.pmf)),
-            info("min_entropy", entropy.renyi(s.pmf, math.inf)),
-            info("varentropy", entropy.varentropy(s.pmf))]
+        return [info("renyi_entropy", entropy.renyi(s, p), {"p": p})]
+    return [info("shannon_entropy", entropy.shannon(s)),
+            info("min_entropy", entropy.renyi(s, math.inf)),
+            info("varentropy", entropy.varentropy(s))]
 
 
 def _phi(s: Subject, params) -> list[CheckReport]:
     ts = _t_grid_param(params)
-    phi_vals = lyapunov.phi(s.pmf, ts)
-    phi2_vals = lyapunov.phi_second_derivative(s.pmf, ts)
+    phi_vals = lyapunov.phi(s, ts)
+    phi2_vals = lyapunov.phi_second_derivative(s, ts)
     return [info("phi", float(v), {"t": float(t), "phi2": float(v2)})
             for t, v, v2 in zip(ts, phi_vals, phi2_vals)]
 
@@ -154,7 +154,7 @@ def _constants(s: None, params) -> list[CheckReport]:
 
 
 PHI_CONCAVITY = Check("phi_concavity", (lattice.LC_CLASSIFIED, lattice.PHI_CLASS),
-                      lambda s, params: [lyapunov.check_concavity(s.pmf)])
+                      lambda s, params: [lyapunov.check_concavity(s)])
 CONCENTRATION = Check("concentration", (lattice.LC_CLASSIFIED, lattice.CLASSIFIED),
                       _concentration)
 RENYI_GAP = Check("renyi_gap", (lattice.LC_MONOTONE,), lambda s, params: [
@@ -195,7 +195,7 @@ VIEWS = {
     "verify": (VERIFY, NA, PMF + ("p", "q", "alpha", "t_grid")),
     "entropy": ((Check("entropy", (), _entropy),), REFUSE, PMF + ("p",)),
     "varentropy": ((Check("varentropy", (), lambda s, params: [
-        info("varentropy", entropy.varentropy(s.pmf))]), VARENTROPY_BOUND), NA, PMF),
+        info("varentropy", entropy.varentropy(s))]), VARENTROPY_BOUND), NA, PMF),
     "phi": ((Check("phi", (), _phi), PHI_CONCAVITY), OMIT, PMF + ("t_grid",)),
     "crossing": ((Check("crossing", (lattice.LC_MONOTONE, lattice.MONOTONE),
                         _crossing),), REFUSE, PMF + ("p",)),

@@ -61,7 +61,7 @@ def check_renyi_gap(x, p: float, q: float) -> CheckReport:
     s = as_subject(x).require(lattice.MONOTONE)
     if not p > q:
         raise BadOrdersError(f"needs p > q, got p={p}, q={q}")
-    h_p, h_q = entropy.renyi(s.pmf, p), entropy.renyi(s.pmf, q)
+    h_p, h_q = entropy.renyi(s, p), entropy.renyi(s, q)
     gap = gap_constant(p, q)
     margin = h_p - h_q - gap
     return from_margin("renyi_gap", h_p, h_q + gap, margin, 1e-10,
@@ -104,7 +104,7 @@ def check_varentropy(x) -> CheckReport:
     """
     s = as_subject(x).require(lattice.LC_CLASSIFIED, lattice.CLASSIFIED)
     bound = class_constant(s)
-    v = entropy.varentropy(s.pmf)
+    v = entropy.varentropy(s)
     return from_margin("varentropy_bound", v, bound, bound - v, 1e-9,
                        {"class": s.structure.value})
 
@@ -189,26 +189,27 @@ def concentration_bound(t: float, K: float, side: Side) -> float:
     return 0.0 if math.isinf(r) else math.exp(-K * r)
 
 
-def _information_content(x: LatticePMF) -> tuple[np.ndarray, np.ndarray, float]:
-    """The positive masses w, their information content -log w and H."""
-    w = x.positive_weights()
-    info = -np.log(w)
-    return w, info, float(np.dot(w, info))
+def _information_content(s) -> tuple[np.ndarray, np.ndarray, float]:
+    """The subject's positive masses w, their logs and the entropy H."""
+    w, logs = s.log_masses
+    return w, logs, float(-np.dot(w, logs))
 
 
 def empirical_tail(x, t: float, side: Side) -> float:
     """Exact tail mass of the information content around the entropy.
 
-    Upper: P(-log f(X) >= H + t). Lower: P(-log f(X) <= H - t).
+    Upper: P(-log f(X) >= H + t). Lower: P(-log f(X) <= H - t). Negation
+    is exact, so these are read off the logs as log f(X) <= -(H + t) and
+    log f(X) >= -(H - t).
     """
     if not t >= 0.0:
         raise ValueError(f"deviation t must be non-negative, got {t}")
     _check_side(side)
     s = as_subject(x)
-    w, info, h = s.fact("information", lambda: _information_content(s.pmf))
+    w, logs, h = s.fact("information", lambda: _information_content(s))
     if side is Side.UPPER:
-        return float(w[info >= h + t].sum())
-    return float(w[info <= h - t].sum())
+        return float(w[logs <= -(h + t)].sum())
+    return float(w[logs >= -(h - t)].sum())
 
 
 def check_concentration(x, t: float, side: Side, K: float = 1.0) -> CheckReport:
@@ -230,7 +231,7 @@ def epi_reversal_check(x, alpha: float = 2.0) -> CheckReport:
     if not alpha >= 2.0:
         raise BadOrdersError(f"the reversal is asserted for alpha >= 2, got {alpha}")
     lhs = entropy.renyi(s.self_difference, alpha)
-    rhs = entropy.renyi(s.pmf, alpha) + math.log(2.0)
+    rhs = entropy.renyi(s, alpha) + math.log(2.0)
     return from_margin("epi_reversal", lhs, rhs, rhs - lhs, 1e-10,
                        {"alpha": alpha, "log_concave": s.log_concave})
 
@@ -240,7 +241,7 @@ def h2_hinf_identity_check(x) -> CheckReport:
     difference at zero; holds with no structural assumptions on x."""
     s = as_subject(x)
     diff = s.self_difference
-    lhs = entropy.renyi(s.pmf, 2.0)
+    lhs = entropy.renyi(s, 2.0)
     rhs = entropy.renyi(diff, INF)
     err = abs(lhs - rhs)
     mode_slack = diff.pmf(0) - diff.max_weight  # zero when the mode sits at 0

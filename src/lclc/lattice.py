@@ -43,6 +43,7 @@ _SYMMETRY_TOL = 1e-12
 _LOG_CONCAVE_REL_TOL = 1e-12
 MAX_SUPPORT = 20_000_000  # atoms a truncation may take
 _DIRECT_PRODUCTS = 4_000_000  # difference convolves directly up to ~2,000 atoms
+_BLOCK = 8_192  # entries per block of the log-concavity and symmetry tests
 
 
 class Direction(Enum):
@@ -282,18 +283,34 @@ def is_log_concave(x: LatticePMF) -> bool:
 
     The inequality is compared in the log domain with the relative
     tolerance _LOG_CONCAVE_REL_TOL, so that exactly log-affine sequences
-    are not rejected for rounding.
-    """
+    are not rejected for rounding. The interior entries are taken in blocks
+    of _BLOCK entries, each step run in place in buffers allocated once per
+    call, so memory stays bounded; a block that fails ends the test."""
     w = x.weights
     if not w.all():
         return False  # the ends are positive, so a zero is an interior gap
-    if w.size <= 2:
+    n = w.size
+    if n <= 2:
         return True
-    logw = np.log(w)
-    mid = 2.0 * logw[1:-1]
-    outer = logw[:-2] + logw[2:]
-    scale = np.maximum(1.0, np.maximum(np.abs(mid), np.abs(outer)))
-    return bool(np.all(mid - outer >= -_LOG_CONCAVE_REL_TOL * scale))
+    block = min(_BLOCK, n - 2)
+    logw, mid, outer, scale = (np.empty(block + 2), np.empty(block),
+                               np.empty(block), np.empty(block))
+    holds = np.empty(block, dtype=bool)
+    for i in range(1, n - 1, block):
+        k = min(block, n - 1 - i)  # entries i .. i + k - 1 read their neighbours
+        lg, md, ou, sc, ok = logw[:k + 2], mid[:k], outer[:k], scale[:k], holds[:k]
+        np.log(w[i - 1:i + k + 1], out=lg)
+        np.multiply(2.0, lg[1:-1], out=md)
+        np.add(lg[:-2], lg[2:], out=ou)
+        # scale = max(1, |mid|, |outer|), with lg's head as scratch
+        np.abs(md, out=sc)
+        np.maximum(sc, np.abs(ou, out=lg[:k]), out=sc)
+        np.maximum(1.0, sc, out=sc)
+        np.multiply(-_LOG_CONCAVE_REL_TOL, sc, out=sc)
+        np.subtract(md, ou, out=md)
+        if not np.greater_equal(md, sc, out=ok).all():
+            return False
+    return True
 
 
 def monotonicity(x: LatticePMF) -> Direction:
@@ -317,21 +334,33 @@ def symmetry_center(x: LatticePMF) -> float | None:
     _SYMMETRY_TOL, else None.
 
     The only candidate is the midpoint of the trimmed support, so the
-    returned value is an integer or half-integer (as a float).
-    """
+    returned value is an integer or half-integer (as a float). Since
+    |w_i - w_j| = |w_j - w_i|, the first half of the entries decides; they
+    are compared with their mirrors in blocks of _BLOCK entries, in place,
+    in buffers allocated once per call."""
     w = x.weights
-    if not np.all(np.abs(w - w[::-1]) <= _SYMMETRY_TOL):
-        return None
-    return x.offset + (len(w) - 1) / 2.0
+    n = w.size
+    half = (n + 1) // 2
+    mirror = w[::-1]
+    gap = np.empty(min(_BLOCK, half))
+    holds = np.empty(gap.size, dtype=bool)
+    for i in range(0, half, gap.size):
+        k = min(gap.size, half - i)
+        g = np.subtract(w[i:i + k], mirror[i:i + k], out=gap[:k])
+        np.abs(g, out=g)
+        if not np.less_equal(g, _SYMMETRY_TOL, out=holds[:k]).all():
+            return None
+    return x.offset + (n - 1) / 2.0
 
 
 class Subject:
     """A pmf and the facts the checks derive from it, each computed at most
-    once: the structural predicates, the law of X - Y for iid X, Y ~ x, and
-    what a check caches through fact(). Every fact but the direction
-    depends only on the multiset of masses or on the law of X - Y, so it
-    holds for -X as well. A subject lives for one run or one check call;
-    the pmf stays a pure value."""
+    once: the structural predicates, the law of X - Y for iid X, Y ~ x, the
+    log-mass table, and what a check caches through fact(), such as each
+    power-sum order. Every fact but the direction depends only on the
+    multiset of masses or on the law of X - Y, so it holds for -X as well.
+    A subject lives for one run or one check call; the pmf stays a pure
+    value."""
 
     def __init__(self, pmf: LatticePMF):
         self.pmf = pmf
@@ -368,6 +397,13 @@ class Subject:
         return self.fact("difference", lambda: difference(self.pmf))
 
     @property
+    def log_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, log w) over the positive masses, the table every entropy,
+        tail and phi of the subject reads. w is the pmf's own weights
+        array unless one is zero, an interior gap, which w leaves out."""
+        return self.fact("log_masses", lambda: _log_masses(self.pmf))
+
+    @property
     def monotone(self) -> bool:
         return self.direction is not Direction.NEITHER
 
@@ -392,6 +428,11 @@ class Subject:
         if self.integer_symmetric:
             return Structure.INTEGER_SYMMETRIC
         return None
+
+
+def _log_masses(x: LatticePMF) -> tuple[np.ndarray, np.ndarray]:
+    w = x.weights if x.weights.all() else x.positive_weights()
+    return w, np.log(w)
 
 
 # a hypothesis of a check: a predicate on the subject, the reason the check

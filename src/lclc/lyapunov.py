@@ -18,7 +18,7 @@ import numpy as np
 
 from .entropy import log_power_sum_of_logs
 from .errors import AllZeroError, DomainError
-from .lattice import LatticePMF, _checked_weights, normalize
+from .lattice import LatticePMF, Subject, _checked_weights, as_subject, normalize
 from .report import CheckReport, from_margin
 
 DEFAULT_T_MIN = 0.05
@@ -37,8 +37,11 @@ _FINEST_LEVEL = math.frexp(_BIN_RHO / _BINNED_T_MAX)[1] - 1  # width 2**-5
 
 
 def _log_values(x) -> np.ndarray:
-    """Log of the positive entries of a pmf or raw non-negative sequence."""
-    w = x.weights if isinstance(x, LatticePMF) else _checked_weights(x)
+    """Log of the positive entries of a pmf, a subject (its log-mass table)
+    or a raw non-negative sequence."""
+    if isinstance(x, (LatticePMF, Subject)):
+        return as_subject(x).log_masses[1]
+    w = _checked_weights(x)
     if not np.any(w > 0.0):
         raise AllZeroError("all entries are zero")
     return np.log(w[w > 0.0])
@@ -48,8 +51,8 @@ def phi(x, t):
     """phi_x(t) = log t + log sum_i x_i**t for t > 0; over a 1-D array of
     such t, the array of values.
 
-    Accepts a LatticePMF or any non-negative sequence; the sequence need
-    not be normalized (phi_{c x}(t) = phi_x(t) + t log c).
+    Accepts a LatticePMF, a Subject or any non-negative sequence; the
+    sequence need not be normalized (phi_{c x}(t) = phi_x(t) + t log c).
     """
     return _grid_row(x, t, 0)
 

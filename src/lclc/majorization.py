@@ -310,7 +310,7 @@ def cake_layer_check(x, t: float) -> CheckReport:
     if not t >= 1.0:
         raise ValueError(f"layer-cake check requires t >= 1, got {t}")
     s = as_subject(x)
-    lhs = power_sum(s.pmf, t)
+    lhs = power_sum(s, t)
     edges, c = _levels(s).segments()
     # a running sum adds the pieces left to right, in the order of a loop
     rhs = float(np.cumsum(c * np.diff(edges**t))[-1])

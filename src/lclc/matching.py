@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import entropy
 from .errors import BadOrdersError, NoBracketError
-from .lattice import MATCHABLE, NON_DEGENERATE, LatticePMF, LawKind, Structure, as_subject
+from .lattice import MATCHABLE, NON_DEGENERATE, LawKind, Structure, as_subject
 from .optimize import bisect_root
 from .report import CheckReport, from_margin
 
@@ -30,12 +30,12 @@ class MatchResult:
     iterations: int
 
 
-def _solve(kind: LawKind, x: LatticePMF, p: float) -> MatchResult:
-    x = as_subject(x).require(NON_DEGENERATE).pmf
+def _solve(kind: LawKind, x, p: float) -> MatchResult:
+    s = as_subject(x).require(NON_DEGENERATE)
     p = float(p)
     if not p > 0.0 or p == 1.0 or math.isinf(p):
         raise BadOrdersError(f"matching order must be finite, positive and != 1, got {p}")
-    log_target = entropy.log_power_sum(x, p)
+    log_target = entropy.log_power_sum(s, p)
     log_psi = kind.log_power_sum
     root, iterations = bisect_root(lambda lam: log_psi(lam, p) - log_target,
                                    _BRACKET_LO, _BRACKET_HI)
@@ -49,7 +49,7 @@ def _solve(kind: LawKind, x: LatticePMF, p: float) -> MatchResult:
     return MatchResult(kind, root, target, residual, iterations)
 
 
-def match_geometric(x: LatticePMF, p: float) -> MatchResult:
+def match_geometric(x, p: float) -> MatchResult:
     """Find lam with sum_k ((1-lam) lam**k)**p equal to sum_i x_i**p.
 
     For p > 1 the closed-form power sum decreases from 1 to 0 over
@@ -60,7 +60,7 @@ def match_geometric(x: LatticePMF, p: float) -> MatchResult:
     return _solve(LawKind.GEOMETRIC, x, p)
 
 
-def match_symmetric_geometric(x: LatticePMF, p: float) -> MatchResult:
+def match_symmetric_geometric(x, p: float) -> MatchResult:
     """Find lam matching the symmetric-geometric p-th power sum to x's."""
     return _solve(LawKind.SYMMETRIC_GEOMETRIC, x, p)
 
@@ -77,8 +77,8 @@ def match_comparator(x, p: float) -> MatchResult:
 
     def solve() -> MatchResult:
         if s.structure is Structure.MONOTONE:
-            return match_geometric(s.pmf, p)
-        return match_symmetric_geometric(s.pmf, p)
+            return match_geometric(s, p)
+        return match_symmetric_geometric(s, p)
 
     return s.fact(("match", p), solve)
 
@@ -99,7 +99,7 @@ def renyi_dominance_report(x, p: float, q_grid=DEFAULT_Q_GRID) -> CheckReport:
     worst = math.inf
     worst_pair = (math.nan, math.nan)
     for q in q_grid:
-        h_x = entropy.renyi(s.pmf, q)
+        h_x = entropy.renyi(s, q)
         h_z = match.kind.renyi(match.lam, q)
         margin = (h_x - h_z) if q >= p else (h_z - h_x)
         margins.append(margin)

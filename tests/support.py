@@ -18,7 +18,11 @@ ref_K_constant the tilted-varentropy constant taken tilt by tilt, which
 the library's one kernel pass must match, and
 mp_phi_rows evaluates phi and phi'' in 40-digit mpmath. The ref_* functions are the closed forms of the two
 parametric families written as one function per family and quantity;
-LawKind's methods must reproduce them bit for bit.
+LawKind's methods must reproduce them bit for bit. ref_log_power_sum,
+ref_shannon, ref_varentropy and ref_empirical_tail take the log of the
+positive masses afresh on every call, and ref_is_log_concave and
+ref_symmetry_center test every entry in one pass; the subject's log-mass
+table and the blocked predicates must reproduce them bit for bit.
 """
 
 import math
@@ -26,7 +30,7 @@ import math
 import numpy as np
 
 from lclc.entropy import power_sum, varentropy
-from lclc.inequalities import DEFAULT_ALPHA_GRID
+from lclc.inequalities import DEFAULT_ALPHA_GRID, Side
 from lclc.errors import BadLambdaError, BadOrdersError, MeanMismatchError
 from lclc.lattice import LatticePMF, normalize, symmetry_center
 from lclc.majorization import (
@@ -349,3 +353,57 @@ def mp_phi_rows(logs: np.ndarray, ts) -> tuple[list[float], list[float], list[fl
             phi2_vals.append(float(var - 1 / t**2))
             var_vals.append(float(var))
     return phi_vals, phi2_vals, var_vals
+
+
+def ref_log_power_sum(x: LatticePMF, t: float) -> float:
+    """log(sum_i x_i**t), max-shifted, from a fresh log of the masses."""
+    log_w = np.log(x.positive_weights())
+    with np.errstate(over="ignore"):
+        s = t * log_w
+    m = float(s.max())
+    if m == -math.inf:
+        return m
+    return m + math.log(float(np.exp(s - m).sum()))
+
+
+def ref_shannon(x: LatticePMF) -> float:
+    w = x.positive_weights()
+    return float(-np.dot(w, np.log(w)))
+
+
+def ref_varentropy(x: LatticePMF) -> float:
+    w = x.positive_weights()
+    logs = np.log(w)
+    mean = float(np.dot(w, logs))
+    second = float(np.dot(w, logs * logs))
+    return max(0.0, second - mean * mean)
+
+
+def ref_empirical_tail(x: LatticePMF, t: float, side: Side) -> float:
+    """The tail mass of the information content -log x_I around H."""
+    w = x.positive_weights()
+    info = -np.log(w)
+    h = float(np.dot(w, info))
+    if side is Side.UPPER:
+        return float(w[info >= h + t].sum())
+    return float(w[info <= h - t].sum())
+
+
+def ref_is_log_concave(x: LatticePMF) -> bool:
+    w = x.weights
+    if not w.all():
+        return False
+    if w.size <= 2:
+        return True
+    logw = np.log(w)
+    mid = 2.0 * logw[1:-1]
+    outer = logw[:-2] + logw[2:]
+    scale = np.maximum(1.0, np.maximum(np.abs(mid), np.abs(outer)))
+    return bool(np.all(mid - outer >= -1e-12 * scale))
+
+
+def ref_symmetry_center(x: LatticePMF) -> float | None:
+    w = x.weights
+    if not np.all(np.abs(w - w[::-1]) <= 1e-12):
+        return None
+    return x.offset + (len(w) - 1) / 2.0

@@ -617,6 +617,34 @@ def test_verify_decides_each_fact_once(tmp_path, monkeypatch, source, family):
     assert counts == expected
 
 
+def test_verify_logs_the_masses_once_and_sums_each_order_once(monkeypatch):
+    # symmetric geometric 0.99: h2/h-inf, the layer cake and the match at
+    # p = 2 share one order-2 sum, and the dominance grid adds 0.5, 1.5, 3
+    # and 5 (its orders 1 and inf take no power sum); classification tests
+    # its blocks in place, with out=, and makes no log table
+    from lclc import entropy
+
+    n = len(materialize(ParametricLaw.symmetric_geometric(0.99)))
+    orders, logged = [], []
+    power_sum_of_logs, log = entropy.log_power_sum_of_logs, np.log
+
+    def counted_sum(log_w, t):
+        orders.append(t)
+        return power_sum_of_logs(log_w, t)
+
+    def counted_log(x, *args, **kwargs):
+        if np.size(x) >= n and "out" not in kwargs:
+            logged.append(np.size(x))
+        return log(x, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "log_power_sum_of_logs", counted_sum)
+    monkeypatch.setattr(np, "log", counted_log)
+    config = RunConfig("verify", parameters={"law": "symmetric_geometric", "lam": 0.99})
+    assert run(config, io.StringIO()) == 0
+    assert logged == [n]
+    assert sorted(orders) == [0.5, 1.5, 2.0, 3.0, 5.0]
+
+
 # Exit contract over drawn inputs. Flags take ordinary values, except at
 # most one "wild" flag, which takes any float: +-1e308, inf and nan
 # included. A law's lambda above 0.999 and a --tail-tol below 1e-20 are

@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lclc import entropy
 from lclc.entropy import log_power_sum, power_sum, renyi, shannon, varentropy
 from lclc.errors import BadLambdaError, BadOrdersError
-from lclc.lattice import LatticePMF, LawKind, ParametricLaw, check_order, materialize, normalize
+from lclc.inequalities import Side, empirical_tail
+from lclc.lattice import LawKind, ParametricLaw, Subject, check_order, materialize, normalize
 import support
 from support import random_monotone_log_concave, random_pmf, tilt
 
@@ -257,3 +258,44 @@ def test_info_summary_invariants():
         x = random_pmf(rng)
         assert renyi(x, INF) <= shannon(x) + 1e-12
         assert varentropy(x) >= 0.0
+
+
+SUBNORMALS = st.sampled_from([5e-324, 1e-320, 1e-310, 2.2e-308])
+
+
+@st.composite
+def gapped_pmfs(draw, max_n=30):
+    """pmfs with interior zeros and subnormal masses: weights that normalize
+    rescales (whose subnormal entries may round to zero), or one unit mass
+    among zeros and subnormals, which normalize keeps as they are."""
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.just(0.0), SUBNORMALS),
+                                min_size=1, max_size=max_n))
+        assume(any(e > 0.0 for e in entries))
+    else:
+        entries = draw(st.lists(st.one_of(st.just(0.0), SUBNORMALS), max_size=max_n))
+        entries.insert(draw(st.integers(0, len(entries))), 1.0)
+    return normalize(entries, draw(st.integers(-5, 5)))
+
+
+ORDERS = (1e-320, 0.5, 2.0, 1e3, 1e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gapped_pmfs())
+def test_log_mass_table_reproduces_the_per_call_formulas(x):
+    # repr tells -0.0 from 0.0 and keeps every bit of a float
+    s = Subject(x)
+    for t in ORDERS + ORDERS:  # the second pass reads the memo
+        expected = repr(support.ref_log_power_sum(x, t))
+        assert repr(log_power_sum(s, t)) == expected
+        assert repr(log_power_sum(x, t)) == expected
+    assert repr(shannon(s)) == repr(support.ref_shannon(x))
+    assert repr(varentropy(s)) == repr(support.ref_varentropy(x))
+    h = support.ref_shannon(x)
+    # deviations at which some atom's information content is H +- t
+    boundaries = {abs(-math.log(w) - h) for w in x.weights if w > 0.0}
+    for t in sorted(boundaries | {0.0, 0.25, 1.0}):
+        for side in Side:
+            assert (repr(empirical_tail(s, t, side))
+                    == repr(support.ref_empirical_tail(x, t, side)))

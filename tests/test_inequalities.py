@@ -34,6 +34,7 @@ from support import (
     random_monotone_log_concave,
     random_pmf,
     random_symmetric_log_concave,
+    ref_empirical_tail,
     ref_K_constant,
 )
 
@@ -260,6 +261,27 @@ class TestEmpiricalTail:
         x = materialize(ParametricLaw.geometric(0.9))
         with pytest.raises(TypeError, match="side must be a Side member"):
             empirical_tail(x, 0.5, side)
+
+    def test_an_atom_on_the_threshold_is_in_its_tail(self):
+        # information contents 0.92, 1.20, 1.61, 2.30 nats around H = 1.28:
+        # each t below is exact (Sterbenz), so H + t or H - t is exactly
+        # an atom's -log x, and the tail counts that atom
+        x = normalize([1.0, 2.0, 3.0, 4.0])
+        h = float(np.dot(x.weights, -np.log(x.weights)))
+        info = -np.log(x.weights)
+        for k, side in ((1, Side.UPPER), (0, Side.UPPER), (2, Side.LOWER),
+                        (3, Side.LOWER)):
+            if side is Side.UPPER:
+                t = float(info[k]) - h
+                assert h + t == info[k]
+                atoms = info >= info[k]
+            else:
+                t = h - float(info[k])
+                assert h - t == info[k]
+                atoms = info <= info[k]
+            tail = empirical_tail(x, t, side)
+            assert tail == ref_empirical_tail(x, t, side)
+            assert tail == float(x.weights[atoms].sum()) and tail >= x.weights[k]
 
     def test_check_concentration_report(self):
         x = materialize(ParametricLaw.geometric(0.7))

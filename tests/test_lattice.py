@@ -40,7 +40,7 @@ from lclc.lattice import (
     symmetry_center,
 )
 from lclc.majorization import GeometricSequence, _levels, crossing_interval, crossing_verify
-from support import direct_difference, random_pmf
+from support import direct_difference, random_pmf, ref_is_log_concave, ref_symmetry_center
 
 
 @st.composite
@@ -152,6 +152,37 @@ class TestPredicates:
     def test_symmetry_respects_offset(self):
         assert symmetry_center(normalize([0.2, 0.6, 0.2], -1)) == 0.0
         assert symmetry_center(normalize([0.2, 0.6, 0.2], 4)) == 5.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8_193, 8_194, 8_195, 16_386, 16_387, 40_001])
+    def test_blocked_predicates_decide_as_one_pass(self, n):
+        # the blocked tests read each block's neighbours and each entry's
+        # mirror across the block edges: a defect placed at, just before or
+        # just after an edge is found as a one-pass test finds it
+        base = np.exp(-np.abs(np.arange(n) - (n - 1) / 2.0) * 1e-3)
+        for i in sorted({0, 1, n // 2, n - 2, n - 1, 8_191, 8_192, 8_193, 16_384}):
+            if i >= n:
+                continue
+            for factor in (1.0, 1.0 + 1e-9, 1.0 - 1e-13, 0.5, 2.0):
+                w = base.copy()
+                w[i] *= factor
+                x = normalize(w)
+                assert is_log_concave(x) == ref_is_log_concave(x), (i, factor)
+                assert symmetry_center(x) == ref_symmetry_center(x), (i, factor)
+
+    def test_classification_memory_at_690k_atoms(self):
+        # the log-concavity and symmetry tests run in blocks of 8,192
+        # entries; what remains is monotonicity's one-byte comparison mask
+        # (reads 0.66 MiB)
+        x = materialize(ParametricLaw.symmetric_geometric(0.9999))
+        tracemalloc.start()
+        try:
+            s = Subject(x)
+            facts = (s.log_concave, s.direction, s.symmetry)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert facts == (True, Direction.NEITHER, 0.0)
+        assert peak < 2**20
 
 
 class TestMaterialize:
