@@ -191,19 +191,33 @@ class LatticePMF:
 
     Stored weights are trimmed (first and last entries positive) and frozen.
     Construction normally goes through normalize(); the raw constructor
-    only checks structural validity, not the total mass.
+    only checks structural validity, not the total mass. Both check the
+    caller's weights once and keep a copy of them, which normalize scales
+    in place. That copy, and the laws that materialize and difference
+    build, become the weights through _adopt, with no second copy or
+    check.
     """
 
     offset: int
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(_checked_weights(self.weights), copy=True)
+        w = _checked_weights(self.weights)
         if w[0] == 0.0 or w[-1] == 0.0:
             raise ValueError("weights must be trimmed: endpoints positive")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "offset", _float_sized_offset(self.offset))
+
+    @classmethod
+    def _adopt(cls, offset: int, w: np.ndarray) -> "LatticePMF":
+        """The pmf whose weights are w itself, frozen: w must be a checked,
+        trimmed float array that nothing else holds."""
+        w.flags.writeable = False
+        x = object.__new__(cls)
+        object.__setattr__(x, "offset", _float_sized_offset(offset))
+        object.__setattr__(x, "weights", w)
+        return x
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -241,17 +255,20 @@ def _float_sized_offset(offset) -> int:
 
 
 def _checked_weights(weights) -> np.ndarray:
-    """The weights as a float array: numbers, 1-D, non-empty, finite and
-    non-negative."""
+    """A fresh float copy of the weights, refused unless they are numbers,
+    1-D, non-empty, finite and non-negative. One min and one max decide
+    both: a NaN or an infinity leaves one of them non-finite, and that is
+    refused first, also when a negative weight sits next to a NaN."""
     try:
-        w = np.asarray(weights, dtype=np.float64)
+        w = np.array(weights, dtype=np.float64)
     except (TypeError, ValueError):
         raise BadWeightsError("weights must be numbers") from None
     if w.ndim != 1 or w.size == 0:
         raise BadWeightsError("weights must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(w)):
+    lo, hi = float(w.min()), float(w.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise BadWeightsError("weights must be finite")
-    if np.any(w < 0.0):
+    if lo < 0.0:
         raise NegativeWeightError("weights must be non-negative")
     return w
 
@@ -260,22 +277,30 @@ def normalize(weights, offset: int = 0) -> LatticePMF:
     """Trim zero tails and scale the weights to total mass one.
 
     Weights already summing to one within 1e-12 are kept as-is, which makes
-    normalize exactly idempotent.
+    normalize exactly idempotent. The pmf holds a copy of the weights.
     """
-    w = _checked_weights(weights)
-    if not np.any(w > 0.0):
-        raise AllZeroError("all weights are zero")
+    return _normalized(_checked_weights(weights), offset)
+
+
+def _normalized(w: np.ndarray, offset: int) -> LatticePMF:
+    """normalize() of finite non-negative float weights w that nothing else
+    holds: w is scaled in place and its trimmed view adopted as the pmf's
+    weights."""
     with np.errstate(over="ignore"):
         total = float(w.sum())
+    if total == 0.0:  # a sum of non-negative numbers is 0 only if all are
+        raise AllZeroError("all weights are zero")
     if not math.isfinite(total):  # finite weights whose sum overflows
-        w = w / w.max()
+        w /= w.max()
         total = float(w.sum())
     if abs(total - 1.0) > _SUM_TOL:
         # divide before trimming: subnormal entries may underflow to zero
-        w = w / total
-    positive = w > 0.0  # a one-byte mask: the ends need no index array
-    first, last = int(positive.argmax()), w.size - 1 - int(positive[::-1].argmax())
-    return LatticePMF(offset + first, w[first : last + 1])  # which copies it
+        w /= total
+    first, last = 0, w.size - 1
+    if w[0] == 0.0 or w[-1] == 0.0:
+        positive = w > 0.0  # a one-byte mask: the ends need no index array
+        first, last = int(positive.argmax()), last - int(positive[::-1].argmax())
+    return LatticePMF._adopt(offset + first, w[first : last + 1])
 
 
 def is_log_concave(x: LatticePMF) -> bool:
@@ -486,10 +511,17 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> Latti
     if atoms > MAX_SUPPORT:
         raise DomainError(f"truncation needs {atoms} atoms, above max_support")
     if geometric:
-        logw = np.arange(n_max + 1) * log_lam
-        return normalize((1.0 - lam) * np.exp(logw), 0)
-    logw = np.abs(np.arange(-n_max, n_max + 1)) * log_lam
-    return normalize(np.exp(logw), -n_max)
+        w = np.arange(n_max + 1, dtype=np.float64)
+        w *= log_lam
+        np.exp(w, out=w)
+        w *= 1.0 - lam
+        return _normalized(w, 0)
+    # lam**|k| on the right half, exponentiated in place and mirrored
+    law = np.empty(2 * n_max + 1)
+    right = np.multiply(np.arange(n_max + 1), log_lam, out=law[n_max:])
+    np.exp(right, out=right)
+    law[:n_max] = right[:0:-1]
+    return _normalized(law, -n_max)
 
 
 def difference(x: LatticePMF) -> LatticePMF:
@@ -500,12 +532,14 @@ def difference(x: LatticePMF) -> LatticePMF:
     reverse bit for bit. Up to _DIRECT_PRODUCTS products they come from a
     direct convolution; above, from one real FFT at a 5-smooth length of at
     least 2n - 1 (so no lag wraps), whose spectrum is squared in place into
-    |F|**2 and transformed back, with rounding noise clipped at 0.
+    |F|**2 and transformed back, with rounding noise clipped at 0. Either
+    output buffer is long enough to hold the law, which is mirrored into it
+    in place.
     """
     w = x.weights
     n = w.size
     if n * n <= _DIRECT_PRODUCTS:
-        lags = np.convolve(w, w[::-1])[n - 1:]
+        law = np.convolve(w, w[::-1])  # lag k at n - 1 + k
     else:
         m = _smooth_length(2 * n - 1)
         spectrum = np.fft.rfft(w, m)
@@ -513,14 +547,12 @@ def difference(x: LatticePMF) -> LatticePMF:
         np.square(power, out=power)
         power[0::2] += power[1::2]
         power[1::2] = 0.0
-        lags = np.fft.irfft(spectrum, m)[:n]
+        law = np.fft.irfft(spectrum, m)  # lag k at k
         del spectrum, power
-        np.maximum(lags, 0.0, out=lags)
-    law = np.empty(2 * n - 1)
-    law[n - 1:] = lags
-    law[:n] = lags[::-1]
-    del lags  # the transform's buffer goes before normalize copies the law
-    return normalize(law, 1 - n)
+        np.maximum(law[:n], 0.0, out=law[:n])
+        law[n - 1:2 * n - 1] = law[:n]  # overlapping; numpy copies back to front
+    law[:n - 1] = law[n:2 * n - 1][::-1]
+    return _normalized(law[:2 * n - 1], 1 - n)
 
 
 def _smooth_length(m: int) -> int:

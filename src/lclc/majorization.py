@@ -150,12 +150,33 @@ def _power_piece(c, hi, cut, t, p: float):
     return c * ((hi ** (p + 1.0) - cut ** (p + 1.0)) / (p + 1.0) - t * (hi - cut))
 
 
+def _distinct_sorted(values) -> np.ndarray:
+    """np.unique(values) for values made of a few monotone runs, in linear
+    time: the stable sort of floats is TimSort, which finds the runs and
+    merges them, and stays correct on any input."""
+    s = np.sort(values, kind="stable")
+    return s[_run_starts(s)]
+
+
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """A mask of the entries of the sorted s that start a run of equal
+    values."""
+    starts = np.empty(s.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(s[1:], s[:-1], out=starts[1:])
+    return starts
+
+
 def _level_count_of(values: np.ndarray) -> LevelCount:
-    vals = np.asarray(values, dtype=np.float64)
-    vals = vals[vals > 0.0]
-    uniq, mult = np.unique(vals, return_counts=True)
-    counts = np.concatenate(([vals.size], vals.size - np.cumsum(mult)))
-    return LevelCount(uniq, counts.astype(np.int64))
+    # a unimodal pmf is two monotone runs, which the stable sort merges;
+    # F drops by the size of each run of equal masses, at its value
+    s = np.sort(values, kind="stable")
+    s = s[np.searchsorted(s, 0.0, side="right"):]
+    starts = np.flatnonzero(_run_starts(s))
+    breakpoints, n = s[starts], s.size
+    del s  # the sorted copy goes before the counts are made
+    counts = np.append(starts, n)
+    return LevelCount(breakpoints, np.subtract(n, counts, out=counts))
 
 
 def level_count(x: LatticePMF) -> LevelCount:
@@ -281,10 +302,12 @@ def crossing_verify(x, z: GeometricSequence) -> CheckReport:
     w = s.pmf.weights
     f_x = _levels(s)
 
-    lowest = max(min(float(w[w > 0].min()), result.lo) / 4.0, 1e-300)
+    # a monotone trimmed pmf has no zero mass
+    lowest = max(min(float(w.min()), result.lo) / 4.0, 1e-300)
     zv = z.value(np.arange(len(w) + 8))
-    points = np.concatenate((f_x.breakpoints, zv[zv >= lowest], [result.lo, result.hi]))
-    ts = np.unique(points[points > 0.0])
+    ts = _distinct_sorted(np.concatenate(
+        (f_x.breakpoints, zv[zv >= lowest], [result.lo, result.hi])))
+    ts = ts[np.searchsorted(ts, 0.0, side="right"):]
 
     fz = z.level_count(ts)
     fx = f_x(ts)
@@ -312,8 +335,12 @@ def cake_layer_check(x, t: float) -> CheckReport:
     s = as_subject(x)
     lhs = power_sum(s, t)
     edges, c = _levels(s).segments()
-    # a running sum adds the pieces left to right, in the order of a loop
-    rhs = float(np.cumsum(c * np.diff(edges**t))[-1])
+    edges **= t  # segments() makes a fresh edges array
+    # a running sum adds the pieces left to right, in the order of a loop,
+    # in the one buffer of the pieces
+    pieces = edges[1:] - edges[:-1]
+    pieces *= c
+    rhs = float(np.cumsum(pieces, out=pieces)[-1])
     err = abs(lhs - rhs)
     tol = 1e-12 * max(1.0, lhs)
     return from_margin("cake_layer", lhs, rhs, tol - err, 0.0,
@@ -347,8 +374,8 @@ def fold_symmetric(x) -> SymmetricFold:
     half = _level_count_of(w[center_idx:])
 
     # 0 stands for the piece below the smallest mass
-    ts = np.unique(np.concatenate(([0.0], full.breakpoints, half.breakpoints)))
-    ts = ts[ts < center_mass]
+    ts = _distinct_sorted(np.concatenate(([0.0], full.breakpoints, half.breakpoints)))
+    ts = ts[:np.searchsorted(ts, center_mass)]
     gaps = np.abs(full(ts) - (2 * half(ts) - 1))
     return SymmetricFold(full, half, center_mass, int(np.max(gaps, initial=0)))
 

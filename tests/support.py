@@ -23,6 +23,9 @@ ref_shannon, ref_varentropy and ref_empirical_tail take the log of the
 positive masses afresh on every call, and ref_is_log_concave and
 ref_symmetry_center test every entry in one pass; the subject's log-mass
 table and the blocked predicates must reproduce them bit for bit.
+ref_level_count builds F with np.unique, one general sort of every value;
+the library's stable sort over monotone runs must reproduce it array for
+array.
 """
 
 import math
@@ -38,7 +41,6 @@ from lclc.majorization import (
     MEAN_TOL,
     LevelCount,
     _default_hinge_grid,
-    _level_count_of,
     crossing_interval,
     level_count,
 )
@@ -156,8 +158,8 @@ def scalar_fold_violation(x: LatticePMF) -> int:
     """fold_symmetric's max_violation, built by a per-threshold loop."""
     center_idx = int(symmetry_center(x)) - x.offset
     center_mass = float(x.weights[center_idx])
-    full = level_count(x)
-    half = _level_count_of(x.weights[center_idx:])
+    full = ref_level_count(x.weights)
+    half = ref_level_count(x.weights[center_idx:])
     points = np.concatenate((full.breakpoints, half.breakpoints))
     points = np.unique(points[points > 0.0])
     mids = (points[:-1] + points[1:]) / 2.0
@@ -169,6 +171,16 @@ def scalar_fold_violation(x: LatticePMF) -> int:
         gap = abs(int(full(float(t))) - (2 * int(half(float(t))) - 1))
         worst = max(worst, gap)
     return worst
+
+
+def ref_level_count(values) -> LevelCount:
+    """F of the positive values: their distinct values and multiplicities
+    from np.unique."""
+    vals = np.asarray(values, dtype=np.float64)
+    vals = vals[vals > 0.0]
+    uniq, mult = np.unique(vals, return_counts=True)
+    counts = np.concatenate(([vals.size], vals.size - np.cumsum(mult)))
+    return LevelCount(uniq, counts.astype(np.int64))
 
 
 def segment_tuples(f: LevelCount) -> list[tuple[float, float, int]]:

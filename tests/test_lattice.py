@@ -15,6 +15,7 @@ from lclc.errors import (
     BadWeightsError,
     DiracInputError,
     DomainError,
+    LatticeError,
     NegativeWeightError,
     NotMonotoneLogConcaveError,
     UnclassifiedError,
@@ -113,6 +114,51 @@ class TestNormalize:
         x = normalize([1.0, 1.0])
         with pytest.raises(ValueError):
             x.weights[0] = 0.3
+
+    @pytest.mark.parametrize("weights, error, message", [
+        ([0.5, math.nan, 0.5], BadWeightsError, "weights must be finite"),
+        ([0.5, math.inf], BadWeightsError, "weights must be finite"),
+        ([-math.inf, 0.5], BadWeightsError, "weights must be finite"),
+        ([0.5, -0.1, 0.6], NegativeWeightError, "weights must be non-negative"),
+        # a NaN next to a negative weight: finiteness is refused first
+        ([-0.1, math.nan, 0.6], BadWeightsError, "weights must be finite"),
+        ([math.nan, -0.1], BadWeightsError, "weights must be finite"),
+    ])
+    def test_validation_error_and_message(self, weights, error, message):
+        for build in (normalize, lambda w: LatticePMF(0, w)):
+            for given_as in (list, np.array):
+                with pytest.raises(LatticeError) as caught:
+                    build(given_as(weights))
+                assert type(caught.value) is error and str(caught.value) == message
+
+    @pytest.mark.parametrize("weights", [[0.25, 0.5, 0.25], [1.0, 2.0, 1.0]])
+    def test_pmf_owns_its_weights(self, weights):
+        # the first already sums to one (no division), the second does not
+        a = np.array(weights)
+        x = normalize(a)
+        kept = x.weights.copy()
+        a[:] = 7.0
+        np.testing.assert_array_equal(x.weights, kept)
+        assert not x.weights.flags.writeable
+        with pytest.raises(ValueError):
+            x.weights[0] = 0.3
+
+    def test_constructor_copies(self):
+        a = np.array([0.25, 0.5, 0.25])
+        x = LatticePMF(3, a)
+        a[0] = 9.0
+        np.testing.assert_array_equal(x.weights, [0.25, 0.5, 0.25])
+        assert not np.shares_memory(x.weights, a) and not x.weights.flags.writeable
+        assert a.flags.writeable  # the caller's array is left as it was
+
+    def test_built_laws_are_frozen(self):
+        for x in (materialize(ParametricLaw.geometric(0.5)),
+                  materialize(ParametricLaw.symmetric_geometric(0.5)),
+                  difference(normalize([1.0, 2.0, 3.0])),  # the direct path
+                  difference(materialize(ParametricLaw.geometric(0.999)))):  # the FFT
+            assert not x.weights.flags.writeable
+            with pytest.raises(ValueError):
+                x.weights[0] = 0.3
 
 
 class TestPredicates:
@@ -219,6 +265,21 @@ class TestMaterialize:
             with pytest.raises(BadLambdaError):
                 ParametricLaw.geometric(lam)
 
+    def test_memory_at_690k_atoms(self):
+        # symmetric geometric 0.9999: the law is allocated once, its right
+        # half exponentiated in place and mirrored, and normalized in place;
+        # only the half's index array is extra (reads 8.0 MiB; four
+        # full-size arrays read 21.7 MiB)
+        law = ParametricLaw.symmetric_geometric(0.9999)
+        tracemalloc.start()
+        try:
+            x = materialize(law)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(x) == 690_741
+        assert peak < 8.5 * 2**20
+
 
 class TestDifference:
     def test_uniform_pair(self):
@@ -304,9 +365,10 @@ class TestDifference:
             138_240, 276_480, 1_382_400]
 
     def test_memory_at_690k_atoms(self):
-        # symmetric geometric 0.9999: one spectrum, one inverse transform, then
-        # the mirrored law and its trimmed copy; about two 11 MiB buffers at a
-        # time (reads 22.4 MiB)
+        # symmetric geometric 0.9999: one spectrum and one inverse transform,
+        # whose buffer then holds the mirrored law, normalized in place; two
+        # 10.5 MiB buffers at a time (reads 21.2 MiB; with a separate law
+        # and its trimmed copy, 22.5 MiB)
         x = materialize(ParametricLaw.symmetric_geometric(0.9999))
         tracemalloc.start()
         try:
@@ -314,7 +376,7 @@ class TestDifference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 22 * 2**20
 
 
 class TestJsonInput:
