@@ -311,8 +311,8 @@ def _emit(rows: list[CheckReport], config: RunConfig, stream: TextIO) -> None:
               "margin": _jsonable(r.margin), "verdict": r.verdict,
               "params": _jsonable(r.params)} for r in rows]
     if config.output_format == "json":
-        json.dump(dicts, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+        # one dumps and one write: json.dump would write chunk by chunk
+        stream.write(json.dumps(dicts, indent=2, sort_keys=True) + "\n")
         return
     stream.write("check_name,lhs,rhs,margin,verdict,params\n")
     for d in dicts:

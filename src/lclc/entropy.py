@@ -2,10 +2,11 @@
 pmfs.
 
 All entropies are in nats. Each function takes a LatticePMF or a
-Subject, and reads the subject's log-mass table, so a subject's masses are
-logged once and each power-sum order is summed once. The closed forms of
-the geometric and symmetric geometric families are methods of
-lattice.LawKind.
+Subject, and reads the subject's mass table, one entry per distinct mass,
+so a subject's masses are logged once, each sum weights an entry by the
+number of atoms at its mass, and each power-sum order is summed once. The
+closed forms of the geometric and symmetric geometric families are
+methods of lattice.LawKind.
 """
 
 from __future__ import annotations
@@ -17,22 +18,56 @@ import numpy as np
 from .lattice import as_subject, check_order
 
 INF = math.inf
+_LEAF = 4_096  # terms per block of a sum: 32 KiB, which malloc serves from its heap
 
 
-def log_power_sum_of_logs(log_w: np.ndarray, t: float) -> float:
-    """log(sum_i w_i**t) from log-weights, max-shifted for stability; the
-    products t log w_i, their shift and exponentials are formed in place
-    in one buffer.
+def pairwise_sum(n: int, terms) -> float:
+    """The sum of n terms, where terms(lo, hi, out) writes terms lo..hi-1
+    into out and returns it, with the bits of one np.sum over all n.
 
-    A product t * log w_i below the float range is -inf, its limit; when
-    every product is, so is the log of the sum."""
+    The terms are formed in blocks of at most _LEAF in one small buffer,
+    reused, instead of in one n-sized array: numpy's sum of a contiguous
+    array halves it (at a multiple of 8) until a piece has at most 128
+    terms, so splitting as it does down to the blocks and adding their
+    sums reproduces its result exactly."""
+    return _pairwise(terms, np.empty(min(n, _LEAF)), 0, n)
+
+
+def _pairwise(terms, buf: np.ndarray, lo: int, hi: int) -> float:
+    # a module function: a nested one that calls itself is a reference
+    # cycle, which would hold the arrays terms reads until the next garbage
+    # collection
+    m = hi - lo
+    if m > _LEAF:
+        half = m // 2 - m // 2 % 8
+        return _pairwise(terms, buf, lo, lo + half) + _pairwise(terms, buf, lo + half, hi)
+    return float(terms(lo, hi, buf[:m]).sum())
+
+
+def log_power_sum_of_logs(logs: np.ndarray, t: float, counts=None) -> float:
+    """log(sum_j m_j exp(t logs_j)) over sorted logs (a mass table's run
+    from the largest down), with m_j = counts[j] (1 when counts is None).
+    The largest product t logs_j sits at an end (the first on a mass table
+    at t > 0), so the sum is anchored there with no max pass; each block
+    of products, their shift, exponentials and weights is formed in place
+    (pairwise_sum).
+
+    A product t logs_j below the float range is -inf, its limit; when every
+    product is, so is the log of the sum."""
+
+    def terms(lo, hi, out):
+        np.multiply(t, logs[lo:hi], out=out)
+        out -= top
+        np.exp(out, out=out)
+        if counts is not None:
+            out *= counts[lo:hi]
+        return out
+
     with np.errstate(over="ignore"):
-        s = np.multiply(t, log_w)
-    m = float(s.max())
-    if m == -INF:
-        return m
-    np.subtract(s, m, out=s)
-    return m + math.log(float(np.exp(s, out=s).sum()))
+        top = max(t * float(logs[0]), t * float(logs[-1]))
+        if top == -INF:
+            return top
+        return top + math.log(pairwise_sum(logs.size, terms))
 
 
 def power_sum(x, t: float) -> float:
@@ -45,14 +80,25 @@ def log_power_sum(x, t: float) -> float:
     if not t > 0.0:
         raise ValueError(f"power-sum exponent must be positive, got {t}")
     s = as_subject(x)
-    return s.fact(("log_power_sum", t),
-                  lambda: log_power_sum_of_logs(s.log_masses[1], t))
+
+    def compute():
+        table = s.mass_table
+        return log_power_sum_of_logs(table.logs, t, table.counts)
+
+    return s.fact(("log_power_sum", t), compute)
 
 
 def shannon(x) -> float:
-    """H(X) = -sum x_i log x_i; zero-mass terms contribute zero."""
-    w, logs = as_subject(x).log_masses
-    return float(-np.dot(w, logs))
+    """H(X) = -sum_j m_j v_j log v_j over the distinct masses v_j, each held
+    by m_j atoms; evaluated once per subject."""
+    s = as_subject(x)
+
+    def compute():
+        p, logs = s.mass_table.probabilities, s.mass_table.logs
+        return -pairwise_sum(logs.size, lambda lo, hi, out: np.multiply(
+            p[lo:hi], logs[lo:hi], out=out))
+
+    return s.fact("shannon", compute)
 
 
 def renyi(x, p: float) -> float:
@@ -75,8 +121,25 @@ def renyi(x, p: float) -> float:
 
 
 def varentropy(x) -> float:
-    """Variance of the information content -log x_I, I ~ x."""
-    w, logs = as_subject(x).log_masses
-    mean = float(np.dot(w, logs))
-    second = float(np.dot(w, logs * logs))
-    return max(0.0, second - mean * mean)
+    """Variance of the information content -log x_I, I ~ x, in two passes
+    over the mass table: the mean of the depths d_j = log v_j - log v_0
+    below the largest mass, then the sum of the squared deviations from
+    it, weighted by m_j v_j. Every term is non-negative, and a law of one
+    distinct mass, whose depths are all 0, reads 0 exactly."""
+    table = as_subject(x).mass_table
+    p, logs = table.probabilities, table.logs
+    top = float(logs[0])
+
+    def weighted_depths(lo, hi, out):
+        np.subtract(logs[lo:hi], top, out=out)
+        return np.multiply(p[lo:hi], out, out=out)
+
+    mean = pairwise_sum(logs.size, weighted_depths)
+
+    def squared_deviations(lo, hi, out):
+        np.subtract(logs[lo:hi], top, out=out)
+        out -= mean
+        np.square(out, out=out)
+        return np.multiply(p[lo:hi], out, out=out)
+
+    return pairwise_sum(logs.size, squared_deviations)

@@ -137,8 +137,12 @@ def mean_mode_check(x) -> CheckReport:
     >= max f, of which the headline inequality is a relaxation.
     """
     x = as_subject(x).require(lattice.LOG_CONCAVE).pmf
-    # relative to the offset, which the report adds once
-    mean = float(np.dot(x.weights, np.arange(len(x), dtype=np.float64)))
+    # relative to the offset, which the report adds once; a pairwise sum,
+    # not np.dot, whose threaded BLAS reduction order varies with the
+    # thread count
+    w = x.weights
+    mean = entropy.pairwise_sum(len(x), lambda lo, hi, out: np.multiply(
+        np.arange(lo, hi, dtype=np.float64), w[lo:hi], out=out))
     lo, hi = math.floor(mean), math.ceil(mean)
     f_lo, f_hi = x.pmf(x.offset + lo), x.pmf(x.offset + hi)
     frac = mean - lo
@@ -190,9 +194,22 @@ def concentration_bound(t: float, K: float, side: Side) -> float:
 
 
 def _information_content(s) -> tuple[np.ndarray, np.ndarray, float]:
-    """The subject's positive masses w, their logs and the entropy H."""
-    w, logs = s.log_masses
-    return w, logs, float(-np.dot(w, logs))
+    """The law of -log x_I from the subject's mass table: the logs of its
+    masses in ascending order (a view of the table's), the probability of
+    each in the table's order (the largest mass first), and the entropy."""
+    table = s.mass_table
+    return table.logs[::-1], table.probabilities, entropy.shannon(s)
+
+
+def _tail(ascending: np.ndarray, h: float, t: float, side: Side) -> slice:
+    """The entries of the mass table in the tail at deviation t, found by
+    bisecting its logs in ascending order: the table's suffix with
+    log v <= -(H + t) (upper), or its prefix with log v >= -(H - t)
+    (lower)."""
+    k = ascending.size
+    if side is Side.UPPER:
+        return slice(k - int(np.searchsorted(ascending, -(h + t), side="right")), None)
+    return slice(0, k - int(np.searchsorted(ascending, -(h - t), side="left")))
 
 
 def empirical_tail(x, t: float, side: Side) -> float:
@@ -200,16 +217,15 @@ def empirical_tail(x, t: float, side: Side) -> float:
 
     Upper: P(-log f(X) >= H + t). Lower: P(-log f(X) <= H - t). Negation
     is exact, so these are read off the logs as log f(X) <= -(H + t) and
-    log f(X) >= -(H - t).
+    log f(X) >= -(H - t): a prefix or a suffix of the mass table, whose
+    probabilities are summed as one slice.
     """
     if not t >= 0.0:
         raise ValueError(f"deviation t must be non-negative, got {t}")
     _check_side(side)
     s = as_subject(x)
-    w, logs, h = s.fact("information", lambda: _information_content(s))
-    if side is Side.UPPER:
-        return float(w[logs <= -(h + t)].sum())
-    return float(w[logs >= -(h - t)].sum())
+    ascending, probs, h = s.fact("information", lambda: _information_content(s))
+    return float(probs[_tail(ascending, h, t, side)].sum())
 
 
 def check_concentration(x, t: float, side: Side, K: float = 1.0) -> CheckReport:

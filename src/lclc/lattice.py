@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -236,10 +236,6 @@ class LatticePMF:
             return float(self.weights[j])
         return 0.0
 
-    def positive_weights(self) -> np.ndarray:
-        w = self.weights
-        return w[w > 0.0]
-
 
 def _float_sized_offset(offset) -> int:
     """int(offset), refused unless a float can hold it, since the symmetry
@@ -378,11 +374,28 @@ def symmetry_center(x: LatticePMF) -> float | None:
     return x.offset + (n - 1) / 2.0
 
 
+class MassTable(NamedTuple):
+    """The law of the information content -log x_I, I ~ x: the distinct
+    positive masses v from the largest down, their logs, the number m of
+    atoms at each mass (None when every mass is distinct), and the
+    probability m v of each value -log v (the masses themselves when m is
+    None). A sum over the atoms is a sum over the table weighted by m, and
+    a symmetric law's table has half its atoms. The order is that of a
+    decreasing pmf's atoms, so on a decreasing pmf of distinct masses every
+    sum over the table adds its terms in the order of the atoms."""
+
+    masses: np.ndarray
+    logs: np.ndarray
+    counts: np.ndarray | None
+    probabilities: np.ndarray
+
+
 class Subject:
     """A pmf and the facts the checks derive from it, each computed at most
     once: the structural predicates, the law of X - Y for iid X, Y ~ x, the
-    log-mass table, and what a check caches through fact(), such as each
-    power-sum order. Every fact but the direction depends only on the
+    mass table (one entry per distinct mass, read off the level count), and
+    what a check caches through fact(), such as the level count itself and
+    each power-sum order. Every fact but the direction depends only on the
     multiset of masses or on the law of X - Y, so it holds for -X as well.
     A subject lives for one run or one check call; the pmf stays a pure
     value."""
@@ -422,11 +435,24 @@ class Subject:
         return self.fact("difference", lambda: difference(self.pmf))
 
     @property
-    def log_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, log w) over the positive masses, the table every entropy,
-        tail and phi of the subject reads. w is the pmf's own weights
-        array unless one is zero, an interior gap, which w leaves out."""
-        return self.fact("log_masses", lambda: _log_masses(self.pmf))
+    def mass_table(self) -> MassTable:
+        """The law of the information content, the one table every entropy,
+        power sum, tail and phi of the subject reads."""
+        return self.fact("mass_table", self._mass_table)
+
+    def _mass_table(self) -> MassTable:
+        # read off the subject's level count, which majorization caches
+        # (and which imports this module): its breakpoints are the distinct
+        # positive masses, ascending, and F rises by the atoms at each mass
+        # as the threshold falls past it
+        from .majorization import _levels
+
+        levels = _levels(self)
+        v, c = levels.breakpoints[::-1], levels.counts[::-1]
+        if c[-1] == v.size:
+            return MassTable(v, np.log(v), None, v)
+        m = np.subtract(c[1:], c[:-1], dtype=np.float64)
+        return MassTable(v, np.log(v), m, v * m)
 
     @property
     def monotone(self) -> bool:
@@ -453,11 +479,6 @@ class Subject:
         if self.integer_symmetric:
             return Structure.INTEGER_SYMMETRIC
         return None
-
-
-def _log_masses(x: LatticePMF) -> tuple[np.ndarray, np.ndarray]:
-    w = x.weights if x.weights.all() else x.positive_weights()
-    return w, np.log(w)
 
 
 # a hypothesis of a check: a predicate on the subject, the reason the check
@@ -580,7 +601,8 @@ def pmf_from_json(doc: dict, tail_tol: float = DEFAULT_TAIL_TOL) -> LatticePMF:
         raise BadDocumentError("distribution document must be a JSON object")
     if "weights" in doc:
         weights = doc["weights"]
-        if isinstance(weights, list) and any(isinstance(w, bool) for w in weights):
+        # bool is final, so a type test finds exactly what isinstance finds
+        if isinstance(weights, list) and bool in map(type, weights):
             raise BadWeightsError("weights must be numbers, not booleans")
         return normalize(weights, _integer_offset(doc.get("offset", 0)))
     if "law" in doc:

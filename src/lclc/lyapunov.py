@@ -36,15 +36,17 @@ _STRIPES = 4  # partial sums per bin in a chunk of a moment table
 _FINEST_LEVEL = math.frexp(_BIN_RHO / _BINNED_T_MAX)[1] - 1  # width 2**-5
 
 
-def _log_values(x) -> np.ndarray:
-    """Log of the positive entries of a pmf, a subject (its log-mass table)
-    or a raw non-negative sequence."""
+def _on_grid(x, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_phi_on_grid of a pmf or a subject, over the logs and counts of its
+    mass table, or of a raw non-negative sequence, over the logs of its
+    positive entries, each counted once."""
     if isinstance(x, (LatticePMF, Subject)):
-        return as_subject(x).log_masses[1]
+        table = as_subject(x).mass_table
+        return _phi_on_grid(table.logs, ts, table.counts)
     w = _checked_weights(x)
     if not np.any(w > 0.0):
         raise AllZeroError("all entries are zero")
-    return np.log(w[w > 0.0])
+    return _phi_on_grid(np.log(w[w > 0.0]), ts)
 
 
 def phi(x, t):
@@ -71,18 +73,20 @@ def phi_second_derivative(x, t):
 def _grid_row(x, t, row: int):
     """Row 0 (phi) or 1 (phi'') of _phi_on_grid: a float at a scalar t, an
     array over an array of t, whose entries have the scalar's bits."""
-    values = _phi_on_grid(_log_values(x), np.array(t, dtype=np.float64, ndmin=1))[row]
+    values = _on_grid(x, np.array(t, dtype=np.float64, ndmin=1))[row]
     return values if np.ndim(t) else float(values[0])
 
 
-def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, phi'') at each exponent t > 0 in ts, from the log-masses logs.
+def _phi_on_grid(logs: np.ndarray, ts: np.ndarray,
+                 counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, phi'') at each exponent t > 0 in ts, from the log-masses logs,
+    the j-th held by counts[j] atoms (one each when counts is None).
 
     Each row takes one of two paths, chosen from logs and its own t only
     (_bin_levels), and each path's table depends on logs alone, so a row's
     bits do not depend on the rows evaluated with it:
     - the binned path (_binned_rows), on supports of at least
-      _BINNED_MIN_ATOMS atoms at t <= _BINNED_T_MAX, reads a table of
+      _BINNED_MIN_ATOMS log-masses at t <= _BINNED_T_MAX, reads a table of
       moments of the log-masses over bins of width 2**j, the widest with
       t 2**j <= _BIN_RHO: O(bins) exponentials per row instead of O(n).
       One base table (_moment_table) is built at the finest width whose
@@ -108,9 +112,9 @@ def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
         levels, base = _bin_levels(depths, ts)
         direct = levels < base
         if direct.any():
-            log_s[direct], var[direct] = _direct_rows(depths, ts[direct])
+            log_s[direct], var[direct] = _direct_rows(depths, ts[direct], counts)
         if not direct.all():
-            table = _moment_table(depths, base)
+            table = _moment_table(depths, base, counts)
             for j in range(base, levels.max() + 1):
                 if j > base:
                     table = _merge_pairs(table, math.ldexp(1.0, j - 1))
@@ -120,9 +124,10 @@ def _phi_on_grid(logs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return np.log(ts) + ts * lmax + log_s, var - 1.0 / ts**2
 
 
-def _direct_rows(depths: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log S, tilted variance) at each t in ts, exponentiating every atom's
-    depth log x_i - max log x <= 0.
+def _direct_rows(depths: np.ndarray, ts: np.ndarray,
+                 counts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(log S, tilted variance) at each t in ts, exponentiating every
+    log-mass's depth log x_i - max log x <= 0 and weighting it by its count.
 
     The grid is walked in blocks of rows of about _BLOCK_ELEMENTS entries.
     Every step of a block runs in place in one workspace of two such blocks,
@@ -138,6 +143,8 @@ def _direct_rows(depths: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.nda
         w, u = work[:, :t.size]
         np.multiply(t[:, None], depths, out=w)
         np.exp(w, out=w)
+        if counts is not None:
+            w *= counts
         totals = w.sum(axis=1, keepdims=True)
         log_s[rows] = np.log(totals[:, 0])
         w /= totals
@@ -163,9 +170,10 @@ def _bin_levels(depths: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, int]:
     A row's level is the largest j with t 2**j <= _BIN_RHO, capped at the
     level where one bin covers every log-mass; rows above _BINNED_T_MAX
     fall below _FINEST_LEVEL. base is the finest level from _FINEST_LEVEL up whose
-    bins times _TAYLOR_TERMS are fewer than the atoms; on supports of fewer
-    than _BINNED_MIN_ATOMS atoms, or of no such level, it lies above every
-    level."""
+    bins times _TAYLOR_TERMS are fewer than the log-masses (a mass table's
+    entries, whatever their counts, since each costs one term per row); on
+    fewer than _BINNED_MIN_ATOMS log-masses, or of no such level, it lies
+    above every level."""
     span = float(-depths.min())
     top = max(math.frexp(span)[1], _FINEST_LEVEL)  # 2**top > span: one bin
     base = top + 1
@@ -176,8 +184,9 @@ def _bin_levels(depths: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, int]:
     return levels, base
 
 
-def _moment_table(depths: np.ndarray, j: int) -> np.ndarray:
-    """M[k, b] = sum of d**k over the atoms of bin b at width w = 2**j, for
+def _moment_table(depths: np.ndarray, j: int, counts: np.ndarray | None) -> np.ndarray:
+    """M[k, b] = sum of m d**k over the log-masses of bin b at width
+    w = 2**j, each held by m atoms (its count, or 1), for
     k <= _TAYLOR_TERMS + 2.
 
     An atom at depth e = max log x - log x_i >= 0 falls in bin
@@ -199,7 +208,7 @@ def _moment_table(depths: np.ndarray, j: int) -> np.ndarray:
         b = np.floor(e / w)
         d = (b + 1.0) * w - e
         slots = b.astype(np.intp) * _STRIPES + stripes[:e.size]
-        power = np.ones_like(d)
+        power = np.ones_like(d) if counts is None else counts[i:i + _TABLE_ATOMS].copy()
         for row in table:
             partial = np.bincount(slots, weights=power, minlength=bins * _STRIPES)
             row += partial.reshape(bins, _STRIPES).sum(axis=1)
@@ -273,7 +282,7 @@ def check_concavity(x) -> CheckReport:
     when concavity fails, else None.
     """
     ts = np.geomspace(DEFAULT_T_MIN, DEFAULT_T_MAX, DEFAULT_N_POINTS)
-    phi_vals, phi2_vals = _phi_on_grid(_log_values(x), ts)
+    phi_vals, phi2_vals = _on_grid(x, ts)
 
     lo, mid, hi = ts[:-2], ts[1:-1], ts[2:]
     u = (mid - lo) / (hi - lo)
@@ -308,7 +317,7 @@ def extended_phi(y, gamma: float, t: float) -> float:
     vals = np.asarray(y, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0 or np.any(vals <= 0.0):
         raise ValueError("y must be a non-empty sequence of positive reals")
-    return math.log(t + gamma) + log_power_sum_of_logs(np.log(vals), t / gamma)
+    return math.log(t + gamma) + log_power_sum_of_logs(np.sort(np.log(vals)), t / gamma)
 
 
 def counterexample_check(lam: float, gamma: float) -> CheckReport:
@@ -362,7 +371,7 @@ def scan_symmetric_peaks(half_widths=(1, 2, 3)) -> tuple[LatticePMF, float, floa
         abs_n = np.abs(np.arange(-k, k + 1))
         for mu in np.linspace(0.01, 0.9, _SCAN_RATIOS):
             pmf = normalize(mu ** abs_n.astype(np.float64), -k)
-            _, phi2_vals = _phi_on_grid(_log_values(pmf), ts)
+            _, phi2_vals = _on_grid(pmf, ts)
             j = int(np.argmax(phi2_vals))
             if phi2_vals[j] > best_val:
                 best_val = float(phi2_vals[j])

@@ -18,11 +18,12 @@ ref_K_constant the tilted-varentropy constant taken tilt by tilt, which
 the library's one kernel pass must match, and
 mp_phi_rows evaluates phi and phi'' in 40-digit mpmath. The ref_* functions are the closed forms of the two
 parametric families written as one function per family and quantity;
-LawKind's methods must reproduce them bit for bit. ref_log_power_sum,
-ref_shannon, ref_varentropy and ref_empirical_tail take the log of the
-positive masses afresh on every call, and ref_is_log_concave and
-ref_symmetry_center test every entry in one pass; the subject's log-mass
-table and the blocked predicates must reproduce them bit for bit.
+LawKind's methods must reproduce them bit for bit. mp_shannon,
+mp_varentropy and mp_log_power_sum evaluate the entropies and power sums
+over every atom in 40-digit mpmath, each with the forward error bound of
+the library's sums over its mass table, within which the library must
+land. ref_is_log_concave and ref_symmetry_center test every entry in one
+pass; the blocked predicates must reproduce them bit for bit.
 ref_level_count builds F with np.unique, one general sort of every value;
 the library's stable sort over monotone runs must reproduce it array for
 array.
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from lclc.entropy import power_sum, varentropy
-from lclc.inequalities import DEFAULT_ALPHA_GRID, Side
+from lclc.inequalities import DEFAULT_ALPHA_GRID
 from lclc.errors import BadLambdaError, BadOrdersError, MeanMismatchError
 from lclc.lattice import LatticePMF, normalize, symmetry_center
 from lclc.majorization import (
@@ -367,38 +368,91 @@ def mp_phi_rows(logs: np.ndarray, ts) -> tuple[list[float], list[float], list[fl
     return phi_vals, phi2_vals, var_vals
 
 
-def ref_log_power_sum(x: LatticePMF, t: float) -> float:
-    """log(sum_i x_i**t), max-shifted, from a fresh log of the masses."""
-    log_w = np.log(x.positive_weights())
-    with np.errstate(over="ignore"):
-        s = t * log_w
-    m = float(s.max())
-    if m == -math.inf:
-        return m
-    return m + math.log(float(np.exp(s - m).sum()))
+EPS = 2.0**-53  # unit roundoff
+TINY = 5e-324  # the absolute error of a product or sum that underflows
 
 
-def ref_shannon(x: LatticePMF) -> float:
-    w = x.positive_weights()
-    return float(-np.dot(w, np.log(w)))
+def positive(x: LatticePMF) -> np.ndarray:
+    """The positive masses of x, in the order of its atoms."""
+    w = x.weights
+    return w[w > 0.0]
 
 
-def ref_varentropy(x: LatticePMF) -> float:
-    w = x.positive_weights()
-    logs = np.log(w)
-    mean = float(np.dot(w, logs))
-    second = float(np.dot(w, logs * logs))
-    return max(0.0, second - mean * mean)
+def _mp_atoms(x: LatticePMF):
+    """The positive masses of x and their logs, as exact 40-digit numbers."""
+    import mpmath
+
+    w = [mpmath.mpf(float(v)) for v in positive(x)]
+    return w, [mpmath.log(v) for v in w]
 
 
-def ref_empirical_tail(x: LatticePMF, t: float, side: Side) -> float:
-    """The tail mass of the information content -log x_I around H."""
-    w = x.positive_weights()
-    info = -np.log(w)
-    h = float(np.dot(w, info))
-    if side is Side.UPPER:
-        return float(w[info >= h + t].sum())
-    return float(w[info <= h - t].sum())
+def mp_shannon(x: LatticePMF) -> tuple[float, float]:
+    """(H, bound): -sum w log w over the atoms in 40 digits, and the forward
+    error bound of the mass table's sum of k = #distinct masses terms.
+
+    Each term m v log v carries the log's error (at most 2 eps relative),
+    its two products (eps each) and the pairwise sum of terms of one sign
+    ((k - 1) eps), so it is within (k + 5) eps H, plus k TINY for terms
+    that underflow."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        w, logs = _mp_atoms(x)
+        h = -mpmath.fsum(v * lv for v, lv in zip(w, logs))
+        k = len(set(positive(x).tolist()))
+        return float(h), float((k + 5) * EPS * abs(h) + k * TINY)
+
+
+def mp_varentropy(x: LatticePMF) -> tuple[float, float]:
+    """(V, bound): the library's two-pass expression in 40 digits, from the
+    depths d = log w - log max w, V = sum w (d - c)**2 with c = sum w d,
+    and its forward error bound.
+
+    A computed depth is off by at most 2 eps (|log w| + |log max w|) +
+    eps |d| <= 5 eps L, L = max |log w|; the mean c by (k + 3) eps L more,
+    so each deviation u = d - c is off by at most du = (k + 15) eps L. Then
+    sum w u**2 moves by at most 2 sqrt(V) du + du**2 (Cauchy-Schwarz), and
+    its k products and pairwise sum by (k + 5) eps V."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        w, logs = _mp_atoms(x)
+        top = max(logs)
+        depths = [lv - top for lv in logs]
+        c = mpmath.fsum(v * d for v, d in zip(w, depths))
+        v_exact = mpmath.fsum(v * (d - c) ** 2 for v, d in zip(w, depths))
+        k = len(set(positive(x).tolist()))
+        du = (k + 15) * EPS * float(max(abs(lv) for lv in logs))
+        bound = 2.0 * math.sqrt(float(v_exact)) * du + du * du + (k + 5) * EPS * float(v_exact)
+        return float(v_exact), bound + k * TINY
+
+
+def mp_log_power_sum(x: LatticePMF, t: float) -> tuple[float, float]:
+    """(log S_t, bound): log sum w**t over the atoms in 40 digits, and the
+    forward error bound of the mass table's sum anchored at the largest
+    mass v_0.
+
+    A term exp(t (log v - log v_0)) is off relatively by at most
+    3 eps t (|log v| + |log v_0|) (the logs and the products t log v) +
+    eps t |log v - log v_0| (the shift) + 3 eps (exp and the count); the
+    sum adds (k - 1) eps of itself and k TINY for terms that underflow, and
+    log S_t = t log v_0 + log(sum) adds 3 eps t |log v_0| and eps for each
+    of its two terms."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        w, logs = _mp_atoms(x)
+        t_mp, top = mpmath.mpf(t), max(logs)
+        terms = [mpmath.exp(t_mp * (lv - top)) for lv in logs]
+        total = mpmath.fsum(terms)
+        exact = t_mp * top + mpmath.log(total)
+        k = len(set(positive(x).tolist()))
+        term_err = mpmath.fsum(
+            e * (3 * EPS * t_mp * (abs(lv) + abs(top)) + EPS * t_mp * abs(lv - top) + 3 * EPS)
+            for e, lv in zip(terms, logs))
+        bound = ((term_err + k * TINY) / total + (k + 1) * EPS
+                 + 3 * EPS * t_mp * abs(top) + EPS * (abs(exact) + abs(mpmath.log(total))))
+        return float(exact), float(bound)
 
 
 def ref_is_log_concave(x: LatticePMF) -> bool:

@@ -101,7 +101,7 @@ def test_04_non_monotone_failure_witness():
     center = symmetry_center(pmf)
     report = check_concavity(pmf)
     ok = (curvature > 1e-6
-          and pmf.positive_weights().size >= 5
+          and pmf.support_size >= 5
           and is_log_concave(pmf)
           and monotonicity(pmf) is Direction.NEITHER
           and center is not None and float(center).is_integer()
@@ -112,7 +112,7 @@ def test_04_non_monotone_failure_witness():
     ok = ok and control < 0.0
     _criterion("non-monotone witness via symmetric-peak scan", ok,
                f"max phi'' = {curvature:.4f} at t={t:.3f} on "
-               f"{pmf.positive_weights().size} atoms; 3-atom control "
+               f"{pmf.support_size} atoms; 3-atom control "
                f"max phi'' = {control:.3e} at t={t3:.3f}")
 
 

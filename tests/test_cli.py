@@ -614,35 +614,72 @@ def test_verify_decides_each_fact_once(tmp_path, monkeypatch, source, family):
     assert run(config, io.StringIO()) == 0
     expected = {name: 1 for _, name in COUNTED}
     expected[({"match_geometric", "match_symmetric_geometric"} - {family}).pop()] = 0
+    # one level count per subject whose entropies the run reads: the pmf's,
+    # which its mass table and the layer cake share, and on a monotone pmf
+    # that of X - Y, whose epi_reversal row reads its order-alpha power sum
+    expected["level_count"] = 2 if family == "match_geometric" else 1
     assert counts == expected
 
 
 def test_verify_logs_the_masses_once_and_sums_each_order_once(monkeypatch):
-    # symmetric geometric 0.99: h2/h-inf, the layer cake and the match at
-    # p = 2 share one order-2 sum, and the dominance grid adds 0.5, 1.5, 3
-    # and 5 (its orders 1 and inf take no power sum); classification tests
-    # its blocks in place, with out=, and makes no log table
+    # symmetric geometric 0.99: one level count gives the mass table its
+    # (n + 1) / 2 distinct masses, logged once; h2/h-inf, the layer cake
+    # and the match at p = 2 share one order-2 sum, and the dominance grid
+    # adds 0.5, 1.5, 3 and 5 (its orders 1 and inf take no power sum), each
+    # over the table with its counts; classification tests its blocks in
+    # place, with out=, and makes no log table
     from lclc import entropy
 
     n = len(materialize(ParametricLaw.symmetric_geometric(0.99)))
     orders, logged = [], []
     power_sum_of_logs, log = entropy.log_power_sum_of_logs, np.log
 
-    def counted_sum(log_w, t):
+    def counted_sum(logs, t, counts=None):
         orders.append(t)
-        return power_sum_of_logs(log_w, t)
+        assert logs.size == (n + 1) // 2 and counts.sum() == n
+        return power_sum_of_logs(logs, t, counts)
 
     def counted_log(x, *args, **kwargs):
-        if np.size(x) >= n and "out" not in kwargs:
+        if np.size(x) >= (n + 1) // 2 and "out" not in kwargs:
             logged.append(np.size(x))
         return log(x, *args, **kwargs)
 
     monkeypatch.setattr(entropy, "log_power_sum_of_logs", counted_sum)
     monkeypatch.setattr(np, "log", counted_log)
+    counts = _count_calls(monkeypatch)
     config = RunConfig("verify", parameters={"law": "symmetric_geometric", "lam": 0.99})
     assert run(config, io.StringIO()) == 0
-    assert logged == [n]
+    assert logged == [(n + 1) // 2]
     assert sorted(orders) == [0.5, 1.5, 2.0, 3.0, 5.0]
+    assert counts["level_count"] == 1
+
+
+def _verify_bytes(argv, blas_threads):
+    """stdout of lclc verify in a fresh interpreter whose BLAS runs that
+    many threads; a BLAS library reads its thread count at load time."""
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "lclc.cli", "verify", *argv],
+                          capture_output=True, env=env, check=True)
+    return done.stdout
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a threaded BLAS reduction sums in an order that depends on its thread
+    # count; no row may go through one
+    n = 20_000
+    i = np.arange(n, dtype=np.float64)
+    weights = np.exp(-0.021 * i - 4.5e-7 * i**2).tolist()
+    explicit = _write_dist(tmp_path, {"offset": 3, "weights": weights})
+    for argv in (["--law", "symmetric_geometric", "--lambda", "0.999"],
+                 ["--input", explicit]):
+        one = _verify_bytes(argv, 1)
+        assert one.startswith(b"check_name,") and len(one.splitlines()) > 20
+        assert _verify_bytes(argv, 2) == one
 
 
 # Exit contract over drawn inputs. Flags take ordinary values, except at

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lclc import lyapunov
 from lclc.entropy import varentropy
 from lclc.errors import DomainError
-from lclc.lattice import LawKind, ParametricLaw, materialize, normalize
+from lclc.lattice import LawKind, ParametricLaw, Subject, materialize, normalize
 from lclc.lyapunov import (
     _phi_on_grid,
     check_concavity,
@@ -20,8 +20,8 @@ from lclc.lyapunov import (
     phi_second_derivative,
     scan_symmetric_peaks,
 )
-from support import (mp_phi_rows, random_log_concave, random_monotone_log_concave, random_pmf,
-                     tilt)
+from support import (mp_phi_rows, positive, random_log_concave, random_monotone_log_concave,
+                     random_pmf, tilt)
 
 
 FLOORS = (0, math.inf)  # _BINNED_MIN_ATOMS that force the binned path, then the direct one
@@ -74,7 +74,7 @@ def log_concave_logs(draw, min_atoms, max_atoms):
     n = draw(st.integers(min_atoms, max_atoms))
     step = draw(st.floats(1e-4, 0.5))
     x = random_log_concave(rng, max_support=n, min_support=n, max_step=step)
-    return np.log(x.positive_weights())
+    return np.log(positive(x))
 
 
 class TestGridKernel:
@@ -92,7 +92,7 @@ class TestGridKernel:
         for floor in FLOORS:
             monkeypatch.setattr(lyapunov, "_BINNED_MIN_ATOMS", floor)
             for x in _kernel_cases():
-                logs = np.log(x.positive_weights())
+                logs = np.log(positive(x))
                 for ts in (self.ts, self.straddle):
                     whole = _phi_on_grid(logs, ts)
                     parts = [_phi_on_grid(logs, ts[i:i + height])
@@ -102,10 +102,12 @@ class TestGridKernel:
                             np.concatenate([part[k] for part in parts]), whole[k])
 
     def test_scalar_calls_are_grid_rows(self, monkeypatch):
+        # a pmf's rows are those of the grid over its mass table
         for floor in FLOORS:
             monkeypatch.setattr(lyapunov, "_BINNED_MIN_ATOMS", floor)
             for x in _kernel_cases():
-                phi_vals, phi2_vals = _phi_on_grid(np.log(x.positive_weights()), self.ts)
+                table = Subject(x).mass_table
+                phi_vals, phi2_vals = _phi_on_grid(table.logs, self.ts, table.counts)
                 assert [phi(x, t) for t in self.ts] == phi_vals.tolist()
                 assert [phi_second_derivative(x, t) for t in self.ts] == phi2_vals.tolist()
                 # an array of t gives the array of the same rows
@@ -122,7 +124,7 @@ class TestGridKernel:
         for floor in FLOORS:
             monkeypatch.setattr(lyapunov, "_BINNED_MIN_ATOMS", floor)
             for n in (10, 100):
-                logs = np.log(normalize(np.ones(n)).positive_weights())
+                logs = np.log(positive(normalize(np.ones(n))))
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     phi_vals, phi2_vals = _phi_on_grid(logs, ts)
@@ -139,7 +141,7 @@ class TestGridKernel:
         # tilted variance is 0 and phi'' is -1/t**2 to the bit, not a
         # rounding residue of the log-masses' mean that can exceed it
         ts = np.array([1e15, 1e16, 1e300])
-        logs = np.log(normalize(np.ones(100)).positive_weights())
+        logs = np.log(positive(normalize(np.ones(100))))
         phi2_vals = _phi_on_grid(logs, ts)[1]
         with np.errstate(over="ignore"):  # (1e300)**2
             assert phi2_vals.tolist() == (0.0 - 1.0 / ts**2).tolist()
@@ -150,7 +152,7 @@ class TestGridKernel:
         # at 2**10, 2**16 and 2**20 elements per block these supports take
         # one row per block, a ragged last block, or one block that the
         # 256-row grid caps
-        logs = np.log(normalize(np.random.default_rng(n).random(n) + 0.01).positive_weights())
+        logs = np.log(positive(normalize(np.random.default_rng(n).random(n) + 0.01)))
         for floor in FLOORS:
             monkeypatch.setattr(lyapunov, "_BINNED_MIN_ATOMS", floor)
             results = []
@@ -165,7 +167,7 @@ class TestGridKernel:
     def test_all_underflow_grid_at_any_block_size(self, block, monkeypatch):
         # every row underflows, so the blocked walk is reached with no rows
         monkeypatch.setattr(lyapunov, "_BLOCK_ELEMENTS", block)
-        logs = np.log(normalize(np.ones(10)).positive_weights())
+        logs = np.log(positive(normalize(np.ones(10))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             phi_vals, phi2_vals = _phi_on_grid(logs, np.array([1e308]))
@@ -175,13 +177,13 @@ class TestGridKernel:
         # the floor forces each path; by default, supports of at most 200
         # atoms and rows above t = 64 never take the binned path
         grid = np.concatenate((self.ts, self.straddle))
-        geometric = np.log(materialize(ParametricLaw.geometric(0.999)).positive_weights())
+        geometric = np.log(positive(materialize(ParametricLaw.geometric(0.999))))
         np.testing.assert_array_equal(_binned(geometric, grid), grid <= 64.0)
         monkeypatch.setattr(lyapunov, "_BINNED_MIN_ATOMS", math.inf)
         assert not _binned(geometric, grid).any()
         monkeypatch.setattr(lyapunov, "_BINNED_MIN_ATOMS", 0)
         rng = np.random.default_rng(12)
-        small = [np.log(random_log_concave(rng, max_support=200).positive_weights())
+        small = [np.log(positive(random_log_concave(rng, max_support=200)))
                  for _ in range(20)]
         assert any(_binned(logs, grid).any() for logs in small)
         monkeypatch.undo()
@@ -225,7 +227,7 @@ class TestGridKernel:
         # bound; renormalizing moves phi by t times the discarded mass
         lam = 0.999
         x = materialize(ParametricLaw(kind, lam))
-        logs = np.log(x.positive_weights())
+        logs = np.log(positive(x))
         grid = np.geomspace(2.0, 64.0, 11)
         assert _binned(logs, grid).all()
         phi_vals, phi2_vals = _phi_on_grid(logs, grid)
@@ -235,25 +237,54 @@ class TestGridKernel:
             assert abs(phi_vals[i] - kind.phi(lam, t)) <= phi_err + 2e-15 * t
             assert abs(phi2_vals[i] - exact) <= phi2_err
 
+    @pytest.mark.parametrize("kind", list(LawKind))
+    def test_counts_weigh_each_log_mass(self, kind, monkeypatch):
+        # rows over a mass table equal the rows over its atoms, each log
+        # repeated count times, within the error bound of the atoms' sums,
+        # on either path; a symmetric law counts 2 atoms at each mass but
+        # its mode
+        x = materialize(ParametricLaw(kind, 0.999))
+        table = Subject(x).mass_table
+        assert (table.counts is None) == (kind is LawKind.GEOMETRIC)
+        counts = np.ones(table.logs.size) if table.counts is None else table.counts
+        atoms = np.repeat(table.logs, counts.astype(np.intp))
+        assert atoms.size == len(x)
+        grid = np.concatenate((self.ts[::8], self.straddle))
+        for floor in FLOORS:
+            monkeypatch.setattr(lyapunov, "_BINNED_MIN_ATOMS", floor)
+            counted = _phi_on_grid(table.logs, grid, table.counts)
+            repeated = _phi_on_grid(atoms, grid)
+            for i, t in enumerate(grid):
+                phi_err, phi2_err = _error_bound(atoms, t, repeated[1][i] + 1.0 / t**2)
+                assert abs(counted[0][i] - repeated[0][i]) <= 2 * phi_err
+                assert abs(counted[1][i] - repeated[1][i]) <= 2 * phi2_err
+
     def test_merged_tables_match_direct_tables(self):
         # merging pairs of bins equals binning at the wider width, up to
         # the rounding of sums of non-negative terms
-        logs = np.log(materialize(ParametricLaw.geometric(0.99)).positive_weights())
+        logs = np.log(positive(materialize(ParametricLaw.geometric(0.99))))
         depths = logs - logs.max()
-        table = lyapunov._moment_table(depths, lyapunov._FINEST_LEVEL)
+        table = lyapunov._moment_table(depths, lyapunov._FINEST_LEVEL, None)
         for j in range(lyapunov._FINEST_LEVEL + 1, 7):
             table = lyapunov._merge_pairs(table, math.ldexp(1.0, j - 1))
-            np.testing.assert_allclose(table, lyapunov._moment_table(depths, j),
+            np.testing.assert_allclose(table, lyapunov._moment_table(depths, j, None),
                                        rtol=1e-12, atol=0.0)
 
     def test_replicated_witness_fails_on_the_binned_path(self):
         # repeating every atom of test_04's kind of witness m times moves
-        # phi by the linear (1 - t) log m, so phi'' and the violation stay,
-        # and 7 * 1,600 atoms put every grid row on the binned path
+        # phi by the linear (1 - t) log m, so phi'' and the violation stay;
+        # 7 * 1,600 atoms, one log each, put every grid row on the binned
+        # path, and the law's mass table, 4 log-masses with their counts,
+        # on the direct one
         pmf, t, curvature = scan_symmetric_peaks(half_widths=(3,))
         wide = normalize(np.repeat(pmf.weights, 1_600))
-        logs = np.log(wide.positive_weights())
+        logs = np.log(positive(wide))
         assert _binned(logs, self.ts).all()
+        phi2_vals = _phi_on_grid(logs, self.ts)[1]
+        assert phi2_vals.max() == pytest.approx(curvature, rel=1e-9)
+        assert self.ts[np.argmax(phi2_vals)] == t
+        table = Subject(wide).mass_table
+        assert table.counts.tolist() == [1_600, 3_200, 3_200, 3_200]  # mode first
         report = check_concavity(wide)
         assert not report.passed
         assert report.rhs == pytest.approx(curvature, rel=1e-9)
