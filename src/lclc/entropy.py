@@ -45,15 +45,14 @@ def _pairwise(terms, buf: np.ndarray, lo: int, hi: int) -> float:
 
 
 def log_power_sum_of_logs(logs: np.ndarray, t: float, counts=None) -> float:
-    """log(sum_j m_j exp(t logs_j)) over sorted logs (a mass table's run
-    from the largest down), with m_j = counts[j] (1 when counts is None).
-    The largest product t logs_j sits at an end (the first on a mass table
-    at t > 0), so the sum is anchored there with no max pass; each block
-    of products, their shift, exponentials and weights is formed in place
+    """log(sum_j m_j exp(t logs_j)), with m_j = counts[j] (1 when counts is
+    None), for logs in any order. The sum is anchored at the largest
+    product t logs_j, which one max (a min at t < 0) finds; each block of
+    products, their shift, exponentials and weights is formed in place
     (pairwise_sum).
 
-    A product t logs_j below the float range is -inf, its limit; when every
-    product is, so is the log of the sum."""
+    A product t logs_j below the float range is -inf, its limit; when
+    every product is, so is the log of the sum."""
 
     def terms(lo, hi, out):
         np.multiply(t, logs[lo:hi], out=out)
@@ -63,10 +62,10 @@ def log_power_sum_of_logs(logs: np.ndarray, t: float, counts=None) -> float:
             out *= counts[lo:hi]
         return out
 
+    top = t * float(logs.max() if t >= 0.0 else logs.min())
+    if top == -INF:
+        return top
     with np.errstate(over="ignore"):
-        top = max(t * float(logs[0]), t * float(logs[-1]))
-        if top == -INF:
-            return top
         return top + math.log(pairwise_sum(logs.size, terms))
 
 

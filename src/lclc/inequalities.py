@@ -246,10 +246,30 @@ def epi_reversal_check(x, alpha: float = 2.0) -> CheckReport:
     s = as_subject(x).require(lattice.MONOTONE)
     if not alpha >= 2.0:
         raise BadOrdersError(f"the reversal is asserted for alpha >= 2, got {alpha}")
-    lhs = entropy.renyi(s.self_difference, alpha)
+    lhs = _difference_renyi(s, alpha)
     rhs = entropy.renyi(s, alpha) + math.log(2.0)
     return from_margin("epi_reversal", lhs, rhs, rhs - lhs, 1e-10,
                        {"alpha": alpha, "log_concave": s.log_concave})
+
+
+def _difference_renyi(s, alpha: float) -> float:
+    """H_alpha(X - Y) at alpha > 1, read off the lags k >= 0 of the law of
+    X - Y, which difference builds exactly symmetric: lag 0 is one atom and
+    every other lag two. The lags are summed in their own order, with no
+    sort and no mass table; a lag that rounding left at 0 adds 0. As in
+    entropy.renyi, alpha = inf, or a power sum that underflows, reads
+    -log of the largest mass."""
+    law = s.self_difference
+    log_sum = -INF
+    if not math.isinf(alpha):
+        half = law.weights[len(law) // 2:]
+        counts = np.full(half.size, 2.0)
+        counts[0] = 1.0
+        with np.errstate(divide="ignore"):
+            log_sum = entropy.log_power_sum_of_logs(np.log(half), alpha, counts)
+    if log_sum == -INF:
+        return -math.log(law.max_weight)
+    return log_sum / (1.0 - alpha)
 
 
 def h2_hinf_identity_check(x) -> CheckReport:

@@ -4,8 +4,9 @@ Carriers and structural predicates for finite-support distributions:
 normalization, log-concavity, monotonicity, symmetry detection, the law
 of X - Y for iid X, Y, the two infinite parametric families (geometric
 and symmetric geometric) with their closed forms and their controlled
-truncation to finite support, and the hypothesis conditions the checks
-require of a Subject.
+truncation to finite support, the steps of the level count and the mass
+table read off them, and the hypothesis conditions the checks require of
+a Subject.
 
 All values are immutable after construction and safe to share across
 threads. A Subject pairs a pmf with the facts derived from it, computed
@@ -374,6 +375,32 @@ def symmetry_center(x: LatticePMF) -> float | None:
     return x.offset + (n - 1) / 2.0
 
 
+def level_steps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps of the level count F(t) = #{i : values_i > t}: the
+    distinct positive values in increasing order (its breakpoints), and
+    counts[j], the value of F on [breakpoints[j-1], breakpoints[j])
+    (breakpoint -1 read as 0), from the number of positive values down to 0.
+
+    A unimodal pmf is two monotone runs, which the stable sort of floats
+    (TimSort) finds and merges in linear time; F drops by the size of each
+    run of equal values, at its value. When no two values are equal, the
+    sorted copy itself is the breakpoints."""
+    s = np.sort(values, kind="stable")
+    if not s[0] > 0.0:
+        s = s[np.searchsorted(s, 0.0, side="right"):]
+    n = s.size
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(s[1:], s[:-1], out=starts[1:])
+    if starts.all():
+        return s, np.arange(n, -1, -1)
+    starts = np.flatnonzero(starts)
+    breakpoints = s[starts]
+    del s  # the sorted copy goes before the counts are made
+    counts = np.append(starts, n)
+    return breakpoints, np.subtract(n, counts, out=counts)
+
+
 class MassTable(NamedTuple):
     """The law of the information content -log x_I, I ~ x: the distinct
     positive masses v from the largest down, their logs, the number m of
@@ -393,9 +420,9 @@ class MassTable(NamedTuple):
 class Subject:
     """A pmf and the facts the checks derive from it, each computed at most
     once: the structural predicates, the law of X - Y for iid X, Y ~ x, the
-    mass table (one entry per distinct mass, read off the level count), and
-    what a check caches through fact(), such as the level count itself and
-    each power-sum order. Every fact but the direction depends only on the
+    steps of the level count, the mass table read off them (one entry per
+    distinct mass), and what a check caches through fact(), such as each
+    power-sum order. Every fact but the direction depends only on the
     multiset of masses or on the law of X - Y, so it holds for -X as well.
     A subject lives for one run or one check call; the pmf stays a pure
     value."""
@@ -435,23 +462,25 @@ class Subject:
         return self.fact("difference", lambda: difference(self.pmf))
 
     @property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """level_steps of the pmf's masses: the one sort of the subject,
+        which its level count and its mass table read."""
+        return self.fact("levels", lambda: level_steps(self.pmf.weights))
+
+    @property
     def mass_table(self) -> MassTable:
         """The law of the information content, the one table every entropy,
         power sum, tail and phi of the subject reads."""
         return self.fact("mass_table", self._mass_table)
 
     def _mass_table(self) -> MassTable:
-        # read off the subject's level count, which majorization caches
-        # (and which imports this module): its breakpoints are the distinct
-        # positive masses, ascending, and F rises by the atoms at each mass
-        # as the threshold falls past it
-        from .majorization import _levels
-
-        levels = _levels(self)
-        v, c = levels.breakpoints[::-1], levels.counts[::-1]
-        if c[-1] == v.size:
+        # the breakpoints are the distinct masses, ascending, and F rises by
+        # the atoms at each mass as the threshold falls past it
+        breakpoints, f = self.levels
+        v = breakpoints[::-1]
+        if f[0] == v.size:
             return MassTable(v, np.log(v), None, v)
-        m = np.subtract(c[1:], c[:-1], dtype=np.float64)
+        m = np.subtract(f[-2::-1], f[:0:-1], dtype=np.float64)
         return MassTable(v, np.log(v), m, v * m)
 
     @property

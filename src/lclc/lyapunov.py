@@ -317,7 +317,7 @@ def extended_phi(y, gamma: float, t: float) -> float:
     vals = np.asarray(y, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0 or np.any(vals <= 0.0):
         raise ValueError("y must be a non-empty sequence of positive reals")
-    return math.log(t + gamma) + log_power_sum_of_logs(np.sort(np.log(vals)), t / gamma)
+    return math.log(t + gamma) + log_power_sum_of_logs(np.log(vals), t / gamma)
 
 
 def counterexample_check(lam: float, gamma: float) -> CheckReport:

@@ -19,7 +19,15 @@ import numpy as np
 
 from .entropy import power_sum
 from .errors import MeanMismatchError, NoCrossingError
-from .lattice import INTEGER_SYMMETRIC, MONOTONE, Direction, LatticePMF, Subject, as_subject
+from .lattice import (
+    INTEGER_SYMMETRIC,
+    MONOTONE,
+    Direction,
+    LatticePMF,
+    Subject,
+    as_subject,
+    level_steps,
+)
 from .report import CheckReport, from_margin
 
 HINGE_TOL = 1e-10
@@ -155,38 +163,20 @@ def _distinct_sorted(values) -> np.ndarray:
     time: the stable sort of floats is TimSort, which finds the runs and
     merges them, and stays correct on any input."""
     s = np.sort(values, kind="stable")
-    return s[_run_starts(s)]
-
-
-def _run_starts(s: np.ndarray) -> np.ndarray:
-    """A mask of the entries of the sorted s that start a run of equal
-    values."""
-    starts = np.empty(s.size, dtype=bool)
+    starts = np.empty(s.size, dtype=bool)  # the first of each run of equal values
     starts[:1] = True
     np.not_equal(s[1:], s[:-1], out=starts[1:])
-    return starts
-
-
-def _level_count_of(values: np.ndarray) -> LevelCount:
-    # a unimodal pmf is two monotone runs, which the stable sort merges;
-    # F drops by the size of each run of equal masses, at its value
-    s = np.sort(values, kind="stable")
-    s = s[np.searchsorted(s, 0.0, side="right"):]
-    starts = np.flatnonzero(_run_starts(s))
-    breakpoints, n = s[starts], s.size
-    del s  # the sorted copy goes before the counts are made
-    counts = np.append(starts, n)
-    return LevelCount(breakpoints, np.subtract(n, counts, out=counts))
+    return s[starts]
 
 
 def level_count(x: LatticePMF) -> LevelCount:
     """Step function F_x of the pmf's positive masses."""
-    return _level_count_of(x.weights)
+    return LevelCount(*level_steps(x.weights))
 
 
 def _levels(s: Subject) -> LevelCount:
-    """level_count of the subject's pmf, computed once per subject."""
-    return s.fact("level_count", lambda: level_count(s.pmf))
+    """F of the subject's pmf, read off its cached level steps."""
+    return LevelCount(*s.levels)
 
 
 def power_transform_density(d: LevelCount, p: float) -> PowerDensity:
@@ -371,7 +361,7 @@ def fold_symmetric(x) -> SymmetricFold:
     center_idx = (len(w) - 1) // 2
     center_mass = float(w[center_idx])
     full = _levels(s)
-    half = _level_count_of(w[center_idx:])
+    half = LevelCount(*level_steps(w[center_idx:]))
 
     # 0 stands for the piece below the smallest mass
     ts = _distinct_sorted(np.concatenate(([0.0], full.breakpoints, half.breakpoints)))

@@ -572,7 +572,7 @@ def test_library_refusal_reads_as_verify(check):
 # (module, function) pairs whose calls one verify must make exactly once
 COUNTED = (("lattice", "is_log_concave"), ("lattice", "monotonicity"),
            ("lattice", "symmetry_center"), ("lattice", "difference"),
-           ("majorization", "level_count"), ("matching", "match_geometric"),
+           ("lattice", "level_steps"), ("matching", "match_geometric"),
            ("matching", "match_symmetric_geometric"),
            ("inequalities", "_information_content"))
 
@@ -614,10 +614,6 @@ def test_verify_decides_each_fact_once(tmp_path, monkeypatch, source, family):
     assert run(config, io.StringIO()) == 0
     expected = {name: 1 for _, name in COUNTED}
     expected[({"match_geometric", "match_symmetric_geometric"} - {family}).pop()] = 0
-    # one level count per subject whose entropies the run reads: the pmf's,
-    # which its mass table and the layer cake share, and on a monotone pmf
-    # that of X - Y, whose epi_reversal row reads its order-alpha power sum
-    expected["level_count"] = 2 if family == "match_geometric" else 1
     assert counts == expected
 
 
@@ -651,7 +647,7 @@ def test_verify_logs_the_masses_once_and_sums_each_order_once(monkeypatch):
     assert run(config, io.StringIO()) == 0
     assert logged == [(n + 1) // 2]
     assert sorted(orders) == [0.5, 1.5, 2.0, 3.0, 5.0]
-    assert counts["level_count"] == 1
+    assert counts["level_steps"] == 1
 
 
 def _verify_bytes(argv, blas_threads):

@@ -27,8 +27,10 @@ from lclc.inequalities import (
     rate_r,
     sup_varentropy_symmetric,
 )
-from lclc.lattice import LawKind, ParametricLaw, materialize, normalize
+from lclc.inequalities import _difference_renyi
+from lclc.lattice import LawKind, ParametricLaw, Subject, materialize, normalize
 from support import (
+    mp_log_power_sum,
     random_half_integer_symmetric,
     random_log_concave,
     random_monotone_log_concave,
@@ -340,6 +342,23 @@ class TestEpiReversal:
     def test_validates_order(self):
         with pytest.raises(BadOrdersError):
             epi_reversal_check(normalize([1, 1]), 1.5)
+
+    def test_difference_entropy_reads_the_half_of_x_minus_y(self):
+        # the lags k >= 0 of the exactly symmetric law of X - Y, lag 0 once
+        # and every other lag twice, summed in lag order with no sort, land
+        # within the forward error bound of a 40-digit sum over every atom
+        # of X - Y; the last two laws take the FFT path
+        rng = np.random.default_rng(20)
+        pmfs = [random_monotone_log_concave(rng) for _ in range(20)]
+        pmfs += [materialize(ParametricLaw.geometric(0.99)), normalize(np.ones(2_500))]
+        for x in pmfs:
+            s = Subject(x)
+            diff = s.self_difference
+            for alpha in (2.0, 3.5, 40.0):
+                exact, bound = mp_log_power_sum(diff, alpha)
+                value = _difference_renyi(s, alpha) * (1.0 - alpha)
+                assert abs(value - exact) <= bound, (len(x), alpha, value, exact, bound)
+            assert _difference_renyi(s, INF) == renyi(diff, INF)
 
     def test_rejects_non_monotone(self):
         with pytest.raises(NotMonotoneLogConcaveError):

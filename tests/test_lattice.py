@@ -40,7 +40,7 @@ from lclc.lattice import (
     pmf_from_json,
     symmetry_center,
 )
-from lclc.majorization import GeometricSequence, _levels, crossing_interval, crossing_verify
+from lclc.majorization import GeometricSequence, crossing_interval, crossing_verify
 from support import direct_difference, random_pmf, ref_is_log_concave, ref_symmetry_center
 
 
@@ -476,8 +476,8 @@ class TestSubject:
         assert crossing_verify(inc, z) == crossing_verify(mirror, z)
         assert inc.direction is Direction.INCREASING
         assert mirror.direction is Direction.DECREASING
-        assert _levels(inc) is _levels(inc)
-        np.testing.assert_array_equal(_levels(inc).breakpoints, _levels(mirror).breakpoints)
+        assert inc.levels is inc.levels
+        np.testing.assert_array_equal(inc.levels[0], mirror.levels[0])
 
 
 def test_random_generators_have_expected_structure():

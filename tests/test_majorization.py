@@ -15,14 +15,21 @@ from lclc.errors import (
     NotMonotoneLogConcaveError,
     NotSymmetricError,
 )
-from lclc.lattice import LatticePMF, LawKind, ParametricLaw, Subject, materialize, normalize
+from lclc.lattice import (
+    LatticePMF,
+    LawKind,
+    ParametricLaw,
+    Subject,
+    level_steps,
+    materialize,
+    normalize,
+)
 from lclc.majorization import (
     GeometricSequence,
     LevelCount,
     PowerDensity,
     _default_hinge_grid,
     _distinct_sorted,
-    _level_count_of,
     cake_layer_check,
     convex_order_check,
     crossing_interval,
@@ -111,7 +118,7 @@ class TestLevelCountOracle:
     @settings(max_examples=300, deadline=None)
     @given(level_inputs())
     def test_matches_unique_array_for_array(self, values):
-        f, ref = _level_count_of(values), ref_level_count(values)
+        f, ref = LevelCount(*level_steps(values)), ref_level_count(values)
         np.testing.assert_array_equal(f.breakpoints.view(np.int64),
                                       ref.breakpoints.view(np.int64))
         np.testing.assert_array_equal(f.counts, ref.counts)
@@ -121,7 +128,7 @@ class TestLevelCountOracle:
         x = materialize(ParametricLaw.symmetric_geometric(0.999))
         w = x.weights
         for values in (w, w[(len(w) - 1) // 2:]):
-            f, ref = _level_count_of(values), ref_level_count(values)
+            f, ref = LevelCount(*level_steps(values)), ref_level_count(values)
             np.testing.assert_array_equal(f.breakpoints, ref.breakpoints)
             np.testing.assert_array_equal(f.counts, ref.counts)
 
