@@ -40,7 +40,6 @@ from .lyapunov import (
     extended_phi,
     phi,
     phi_second_derivative,
-    scan_symmetric_peaks,
 )
 from .majorization import (
     CrossingResult,

@@ -193,14 +193,6 @@ def concentration_bound(t: float, K: float, side: Side) -> float:
     return 0.0 if math.isinf(r) else math.exp(-K * r)
 
 
-def _information_content(s) -> tuple[np.ndarray, np.ndarray, float]:
-    """The law of -log x_I from the subject's mass table: the logs of its
-    masses in ascending order (a view of the table's), the probability of
-    each in the table's order (the largest mass first), and the entropy."""
-    table = s.mass_table
-    return table.logs[::-1], table.probabilities, entropy.shannon(s)
-
-
 def _tail(ascending: np.ndarray, h: float, t: float, side: Side) -> slice:
     """The entries of the mass table in the tail at deviation t, found by
     bisecting its logs in ascending order: the table's suffix with
@@ -224,8 +216,9 @@ def empirical_tail(x, t: float, side: Side) -> float:
         raise ValueError(f"deviation t must be non-negative, got {t}")
     _check_side(side)
     s = as_subject(x)
-    ascending, probs, h = s.fact("information", lambda: _information_content(s))
-    return float(probs[_tail(ascending, h, t, side)].sum())
+    table = s.mass_table
+    tail = _tail(table.logs[::-1], entropy.shannon(s), t, side)
+    return float(table.probabilities[tail].sum())
 
 
 def check_concentration(x, t: float, side: Side, K: float = 1.0) -> CheckReport:

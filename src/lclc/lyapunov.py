@@ -5,9 +5,7 @@ For monotone log-concave probability sequences phi_x is concave on
 analytic second derivatives and normalized second differences. The module
 also evaluates the two-parameter extension
 phi_y(t) = log((t + gamma) * sum_n y_n**(t/gamma)) and exhibits parameter
-values where its concavity fails (counterexample_check), and it searches
-symmetric peaked pmfs for points of convexity of phi (scan_symmetric_peaks),
-which exist once the peak is wider than three atoms.
+values where its concavity fails (counterexample_check).
 """
 
 from __future__ import annotations
@@ -17,15 +15,14 @@ import math
 import numpy as np
 
 from .entropy import log_power_sum_of_logs
-from .errors import AllZeroError, DomainError
-from .lattice import LatticePMF, Subject, _checked_weights, as_subject, normalize
+from .errors import DomainError
+from .lattice import as_subject
 from .report import CheckReport, from_margin
 
 DEFAULT_T_MIN = 0.05
 DEFAULT_T_MAX = 40.0
 DEFAULT_N_POINTS = 256
 CONCAVITY_TOL = 1e-9
-_SCAN_RATIOS = 99  # peak ratios mu tried per half-width
 _BLOCK_ELEMENTS = 1 << 16  # grid rows x atoms (or bins) per block of _phi_on_grid
 _TAYLOR_TERMS = 24  # K: terms of exp(t d) per bin; the tail is 2**25 / 25! < 3e-18 of it
 _BIN_RHO = 2.0  # t * bin width on the binned path
@@ -38,23 +35,17 @@ _FINEST_LEVEL = math.frexp(_BIN_RHO / _BINNED_T_MAX)[1] - 1  # width 2**-5
 
 def _on_grid(x, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_phi_on_grid of a pmf or a subject, over the logs and counts of its
-    mass table, or of a raw non-negative sequence, over the logs of its
-    positive entries, each counted once."""
-    if isinstance(x, (LatticePMF, Subject)):
-        table = as_subject(x).mass_table
-        return _phi_on_grid(table.logs, ts, table.counts)
-    w = _checked_weights(x)
-    if not np.any(w > 0.0):
-        raise AllZeroError("all entries are zero")
-    return _phi_on_grid(np.log(w[w > 0.0]), ts)
+    mass table."""
+    table = as_subject(x).mass_table
+    return _phi_on_grid(table.logs, ts, table.counts)
 
 
 def phi(x, t):
     """phi_x(t) = log t + log sum_i x_i**t for t > 0; over a 1-D array of
     such t, the array of values.
 
-    Accepts a LatticePMF, a Subject or any non-negative sequence; the
-    sequence need not be normalized (phi_{c x}(t) = phi_x(t) + t log c).
+    Accepts a LatticePMF or a Subject; a pmf built with unnormalized
+    weights gives phi_{c x}(t) = phi_x(t) + t log c.
     """
     return _grid_row(x, t, 0)
 
@@ -347,34 +338,3 @@ def counterexample_check(lam: float, gamma: float) -> CheckReport:
     verdict = "violated" if lhs < rhs else "not-violated"
     return CheckReport("extended_phi_counterexample", lhs, rhs, rhs - lhs, verdict,
                        {"lam": lam, "gamma": gamma, "midpoint_gap": midpoint_gap})
-
-
-def scan_symmetric_peaks(half_widths=(1, 2, 3)) -> tuple[LatticePMF, float, float]:
-    """Search symmetric log-affine peaks for a point where phi is convex.
-
-    Candidates have weights proportional to mu**|n| for |n| <= k, with
-    _SCAN_RATIOS values of mu in [0.01, 0.9]; they are log-concave and
-    non-monotone. phi'' is evaluated on check_concavity's grid, and the
-    scan returns the pmf, t, and phi''(t) of the largest curvature found.
-    Half-width 1 (three atoms) can never produce a violation: with only
-    two distinct log-masses the tilted variance satisfies
-    t**2 Var <= max_s s**2 2 e**-s / (1 + 2 e**-s)**2, which stays below
-    0.77. From half-width 2 on, violations exist.
-    """
-    ts = np.geomspace(DEFAULT_T_MIN, DEFAULT_T_MAX, DEFAULT_N_POINTS)
-    best_val = -math.inf
-    best_pmf = None
-    best_t = math.nan
-    for k in half_widths:
-        if k < 1:
-            raise ValueError("half-width must be at least 1")
-        abs_n = np.abs(np.arange(-k, k + 1))
-        for mu in np.linspace(0.01, 0.9, _SCAN_RATIOS):
-            pmf = normalize(mu ** abs_n.astype(np.float64), -k)
-            _, phi2_vals = _on_grid(pmf, ts)
-            j = int(np.argmax(phi2_vals))
-            if phi2_vals[j] > best_val:
-                best_val = float(phi2_vals[j])
-                best_pmf = pmf
-                best_t = float(ts[j])
-    return best_pmf, best_t, best_val

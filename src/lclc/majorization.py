@@ -23,8 +23,6 @@ from .lattice import (
     INTEGER_SYMMETRIC,
     MONOTONE,
     Direction,
-    LatticePMF,
-    Subject,
     as_subject,
     level_steps,
 )
@@ -158,25 +156,10 @@ def _power_piece(c, hi, cut, t, p: float):
     return c * ((hi ** (p + 1.0) - cut ** (p + 1.0)) / (p + 1.0) - t * (hi - cut))
 
 
-def _distinct_sorted(values) -> np.ndarray:
-    """np.unique(values) for values made of a few monotone runs, in linear
-    time: the stable sort of floats is TimSort, which finds the runs and
-    merges them, and stays correct on any input."""
-    s = np.sort(values, kind="stable")
-    starts = np.empty(s.size, dtype=bool)  # the first of each run of equal values
-    starts[:1] = True
-    np.not_equal(s[1:], s[:-1], out=starts[1:])
-    return s[starts]
-
-
-def level_count(x: LatticePMF) -> LevelCount:
-    """Step function F_x of the pmf's positive masses."""
-    return LevelCount(*level_steps(x.weights))
-
-
-def _levels(s: Subject) -> LevelCount:
-    """F of the subject's pmf, read off its cached level steps."""
-    return LevelCount(*s.levels)
+def level_count(x) -> LevelCount:
+    """Step function F_x of the positive masses of a pmf or a subject, read
+    off the subject's cached level steps."""
+    return LevelCount(*as_subject(x).levels)
 
 
 def power_transform_density(d: LevelCount, p: float) -> PowerDensity:
@@ -290,14 +273,14 @@ def crossing_verify(x, z: GeometricSequence) -> CheckReport:
     s = as_subject(x)
     result = crossing_interval(s, z)
     w = s.pmf.weights
-    f_x = _levels(s)
+    f_x = level_count(s)
 
-    # a monotone trimmed pmf has no zero mass
+    # a monotone trimmed pmf has no zero mass; the thresholds are the
+    # distinct positive values of three sorted runs
     lowest = max(min(float(w.min()), result.lo) / 4.0, 1e-300)
     zv = z.value(np.arange(len(w) + 8))
-    ts = _distinct_sorted(np.concatenate(
-        (f_x.breakpoints, zv[zv >= lowest], [result.lo, result.hi])))
-    ts = ts[np.searchsorted(ts, 0.0, side="right"):]
+    ts = level_steps(np.concatenate(
+        (f_x.breakpoints, zv[zv >= lowest], [result.lo, result.hi])))[0]
 
     fz = z.level_count(ts)
     fx = f_x(ts)
@@ -324,7 +307,7 @@ def cake_layer_check(x, t: float) -> CheckReport:
         raise ValueError(f"layer-cake check requires t >= 1, got {t}")
     s = as_subject(x)
     lhs = power_sum(s, t)
-    edges, c = _levels(s).segments()
+    edges, c = level_count(s).segments()
     edges **= t  # segments() makes a fresh edges array
     # a running sum adds the pieces left to right, in the order of a loop,
     # in the one buffer of the pieces
@@ -360,21 +343,27 @@ def fold_symmetric(x) -> SymmetricFold:
     w = s.pmf.weights
     center_idx = (len(w) - 1) // 2
     center_mass = float(w[center_idx])
-    full = _levels(s)
+    full = level_count(s)
     half = LevelCount(*level_steps(w[center_idx:]))
 
     # 0 stands for the piece below the smallest mass
-    ts = _distinct_sorted(np.concatenate(([0.0], full.breakpoints, half.breakpoints)))
+    ts = np.concatenate(([0.0], level_steps(np.concatenate(
+        (full.breakpoints, half.breakpoints)))[0]))
     ts = ts[:np.searchsorted(ts, center_mass)]
     gaps = np.abs(full(ts) - (2 * half(ts) - 1))
     return SymmetricFold(full, half, center_mass, int(np.max(gaps, initial=0)))
 
 
 def _default_hinge_grid(u, v) -> np.ndarray:
-    # hinge functions are not constant between breakpoints: add midpoints
-    points = np.concatenate((u.breakpoints, v.breakpoints))
-    points = np.unique(points[points >= 0.0])
-    return np.union1d([0.0], np.concatenate((points, (points[:-1] + points[1:]) / 2.0)))
+    # hinge functions are not constant between breakpoints: add midpoints.
+    # Each merge is of two sorted runs, and level_steps keeps the positive
+    # values: a breakpoint whose power underflowed to 0 goes back in
+    both = np.concatenate((u.breakpoints, v.breakpoints))
+    points, above = level_steps(both)
+    if above[0] < both.size:
+        points = np.concatenate(([0.0], points))
+    midpoints = (points[:-1] + points[1:]) / 2.0
+    return np.concatenate(([0.0], level_steps(np.concatenate((points, midpoints)))[0]))
 
 
 def convex_order_check(u_density, v_density) -> CheckReport:

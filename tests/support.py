@@ -26,7 +26,10 @@ land. ref_is_log_concave and ref_symmetry_center test every entry in one
 pass; the blocked predicates must reproduce them bit for bit.
 ref_level_count builds F with np.unique, one general sort of every value;
 the library's stable sort over monotone runs must reproduce it array for
-array.
+array, and ref_hinge_grid builds the convex-order hinge grid with np.unique
+and np.union1d, which the library's merges of sorted runs must reproduce.
+scan_symmetric_peaks searches symmetric peaked pmfs for points of
+convexity of phi, which exist once the peak is wider than three atoms.
 """
 
 import math
@@ -37,6 +40,7 @@ from lclc.entropy import power_sum, varentropy
 from lclc.inequalities import DEFAULT_ALPHA_GRID
 from lclc.errors import BadLambdaError, BadOrdersError, MeanMismatchError
 from lclc.lattice import LatticePMF, normalize, symmetry_center
+from lclc.lyapunov import DEFAULT_N_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN, phi_second_derivative
 from lclc.majorization import (
     HINGE_TOL,
     MEAN_TOL,
@@ -182,6 +186,14 @@ def ref_level_count(values) -> LevelCount:
     uniq, mult = np.unique(vals, return_counts=True)
     counts = np.concatenate(([vals.size], vals.size - np.cumsum(mult)))
     return LevelCount(uniq, counts.astype(np.int64))
+
+
+def ref_hinge_grid(u, v) -> np.ndarray:
+    """Zero, the non-negative breakpoints of u and v and the midpoints of
+    consecutive ones, from np.unique and np.union1d."""
+    points = np.concatenate((u.breakpoints, v.breakpoints))
+    points = np.unique(points[points >= 0.0])
+    return np.union1d([0.0], np.concatenate((points, (points[:-1] + points[1:]) / 2.0)))
 
 
 def segment_tuples(f: LevelCount) -> list[tuple[float, float, int]]:
@@ -473,3 +485,37 @@ def ref_symmetry_center(x: LatticePMF) -> float | None:
     if not np.all(np.abs(w - w[::-1]) <= 1e-12):
         return None
     return x.offset + (len(w) - 1) / 2.0
+
+
+_SCAN_RATIOS = 99  # peak ratios mu tried per half-width
+
+
+def scan_symmetric_peaks(half_widths=(1, 2, 3)) -> tuple[LatticePMF, float, float]:
+    """Search symmetric log-affine peaks for a point where phi is convex.
+
+    Candidates have weights proportional to mu**|n| for |n| <= k, with
+    _SCAN_RATIOS values of mu in [0.01, 0.9]; they are log-concave and
+    non-monotone. phi'' is evaluated on check_concavity's grid, and the
+    scan returns the pmf, t, and phi''(t) of the largest curvature found.
+    Half-width 1 (three atoms) can never produce a violation: with only
+    two distinct log-masses the tilted variance satisfies
+    t**2 Var <= max_s s**2 2 e**-s / (1 + 2 e**-s)**2, which stays below
+    0.77. From half-width 2 on, violations exist.
+    """
+    ts = np.geomspace(DEFAULT_T_MIN, DEFAULT_T_MAX, DEFAULT_N_POINTS)
+    best_val = -math.inf
+    best_pmf = None
+    best_t = math.nan
+    for k in half_widths:
+        if k < 1:
+            raise ValueError("half-width must be at least 1")
+        abs_n = np.abs(np.arange(-k, k + 1))
+        for mu in np.linspace(0.01, 0.9, _SCAN_RATIOS):
+            pmf = normalize(mu ** abs_n.astype(np.float64), -k)
+            phi2_vals = phi_second_derivative(pmf, ts)
+            j = int(np.argmax(phi2_vals))
+            if phi2_vals[j] > best_val:
+                best_val = float(phi2_vals[j])
+                best_pmf = pmf
+                best_t = float(ts[j])
+    return best_pmf, best_t, best_val

@@ -34,7 +34,6 @@ from lclc.lyapunov import (
     counterexample_check,
     extended_phi,
     phi_second_derivative,
-    scan_symmetric_peaks,
 )
 from lclc.majorization import GeometricSequence, cake_layer_check, crossing_verify
 from lclc.matching import match_geometric, renyi_dominance_report
@@ -43,6 +42,7 @@ from support import (
     random_monotone_log_concave,
     random_pmf,
     random_symmetric_log_concave,
+    scan_symmetric_peaks,
 )
 
 LOG2 = math.log(2.0)

@@ -569,12 +569,12 @@ def test_library_refusal_reads_as_verify(check):
     assert str(exc.value) == reason
 
 
-# (module, function) pairs whose calls one verify must make exactly once
+# (module, function) pairs whose calls one verify must make exactly once;
+# level_steps, the one sort, also merges crossing_verify's thresholds
 COUNTED = (("lattice", "is_log_concave"), ("lattice", "monotonicity"),
            ("lattice", "symmetry_center"), ("lattice", "difference"),
            ("lattice", "level_steps"), ("matching", "match_geometric"),
-           ("matching", "match_symmetric_geometric"),
-           ("inequalities", "_information_content"))
+           ("matching", "match_symmetric_geometric"))
 
 
 def _count_calls(monkeypatch):
@@ -614,6 +614,8 @@ def test_verify_decides_each_fact_once(tmp_path, monkeypatch, source, family):
     assert run(config, io.StringIO()) == 0
     expected = {name: 1 for _, name in COUNTED}
     expected[({"match_geometric", "match_symmetric_geometric"} - {family}).pop()] = 0
+    # the subject's level count, then on a monotone law the crossing grid
+    expected["level_steps"] = 2 if family == "match_geometric" else 1
     assert counts == expected
 
 

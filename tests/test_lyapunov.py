@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lclc import lyapunov
 from lclc.entropy import varentropy
 from lclc.errors import DomainError
-from lclc.lattice import LawKind, ParametricLaw, Subject, materialize, normalize
+from lclc.lattice import LatticePMF, LawKind, ParametricLaw, Subject, materialize, normalize
 from lclc.lyapunov import (
     _phi_on_grid,
     check_concavity,
@@ -18,10 +18,9 @@ from lclc.lyapunov import (
     extended_phi,
     phi,
     phi_second_derivative,
-    scan_symmetric_peaks,
 )
 from support import (mp_phi_rows, positive, random_log_concave, random_monotone_log_concave,
-                     random_pmf, tilt)
+                     random_pmf, scan_symmetric_peaks, tilt)
 
 
 FLOORS = (0, math.inf)  # _BINNED_MIN_ATOMS that force the binned path, then the direct one
@@ -333,12 +332,13 @@ class TestPhi:
                 assert phi(x, t) == pytest.approx(LawKind.GEOMETRIC.phi(lam, t), abs=1e-10)
 
     def test_scaling_covariance_on_raw_sequences(self):
+        # the raw constructor keeps unnormalized weights
         rng = np.random.default_rng(11)
         w = rng.random(12) + 0.05
         for c in (0.25, 3.0):
             for t in (0.5, 1.0, 4.0):
-                assert phi(c * w, t) == pytest.approx(
-                    phi(w, t) + t * math.log(c), abs=1e-10)
+                assert phi(LatticePMF(0, c * w), t) == pytest.approx(
+                    phi(LatticePMF(0, w), t) + t * math.log(c), abs=1e-10)
 
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):

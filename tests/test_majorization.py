@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lclc.entropy import power_sum
@@ -29,7 +29,6 @@ from lclc.majorization import (
     LevelCount,
     PowerDensity,
     _default_hinge_grid,
-    _distinct_sorted,
     cake_layer_check,
     convex_order_check,
     crossing_interval,
@@ -47,6 +46,7 @@ from support import (
     random_monotone_log_concave,
     random_pmf,
     random_symmetric_log_concave,
+    ref_hinge_grid,
     ref_level_count,
     scalar_crossing_verify,
     scalar_fold_violation,
@@ -135,10 +135,14 @@ class TestLevelCountOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.floats(-1e3, 1e3), max_size=20), min_size=1, max_size=4),
            st.lists(st.booleans(), min_size=4, max_size=4))
-    def test_distinct_sorted_is_unique_of_sorted_runs(self, runs, descending):
+    def test_breakpoints_are_unique_of_sorted_runs(self, runs, descending):
+        # the crossing and fold grids and the hinge grid are the breakpoints
+        # of a union of sorted runs; level_steps reads s[0], and no caller
+        # passes it an empty union
         runs = [np.sort(r)[::-1] if d else np.sort(r) for r, d in zip(runs, descending)]
         values = np.concatenate([np.asarray(r, dtype=np.float64) for r in runs])
-        np.testing.assert_array_equal(_distinct_sorted(values), np.unique(values))
+        assume(values.size > 0)
+        np.testing.assert_array_equal(level_steps(values)[0], np.unique(values[values > 0.0]))
 
     def test_memory_at_690k_atoms(self):
         # symmetric geometric 0.9999: the sorted copy of the masses, the
@@ -528,6 +532,33 @@ class TestConvexOrder:
                 assert np.array_equal(d.hinge_expectation(ts).view(np.int64),
                                       f.hinge_expectation(ts).view(np.int64))
                 assert d.mean() == f.mean()
+
+    def test_hinge_grid_is_the_unique_form(self):
+        # bit for bit the grid of np.unique and np.union1d, also where a
+        # breakpoint's power underflows to 0 and keeps its midpoint with the
+        # smallest positive one, and where every breakpoint's power does
+        rng = np.random.default_rng(61)
+        level_pairs = [(level_count(normalize(0.01 ** np.arange(101.0))),) * 2]
+        pairs = []
+        for p in (2.0, 3.0):
+            for _ in range(10):
+                levels, powers = _matched_pair_densities(rng, p)
+                level_pairs.append(levels)
+                pairs.append(powers)
+        for e in (2.0, 700.0, 1e6):
+            pairs += [(power_transform_density(u, e), power_transform_density(v, e))
+                      for u, v in level_pairs[:3]]
+        pairs += level_pairs
+        densities = [d for pair in pairs for d in pair]
+        assert any(0.0 in d.breakpoints for pair in pairs for d in pair)
+        assert any(not d.breakpoints.any() for pair in pairs for d in pair)
+        for u, v in pairs + list(zip(densities, densities[::-1])):
+            grid, ref = _default_hinge_grid(u, v), ref_hinge_grid(u, v)
+            np.testing.assert_array_equal(grid.view(np.int64), ref.view(np.int64))
+        # the midpoint of 0 and the smallest subnormal rounds to 0
+        tiny = LevelCount(np.array([5e-324, 0.25]), np.array([2, 1, 0]))
+        for u, v in ((tiny, tiny), (power_transform_density(tiny, 1.0 + 1e-9), tiny)):
+            np.testing.assert_array_equal(_default_hinge_grid(u, v), ref_hinge_grid(u, v))
 
     def test_mean_mismatch_raises(self):
         with pytest.raises(MeanMismatchError):
