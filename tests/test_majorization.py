@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -555,10 +556,10 @@ class TestConvexOrder:
         for u, v in pairs + list(zip(densities, densities[::-1])):
             grid, ref = _default_hinge_grid(u, v), ref_hinge_grid(u, v)
             np.testing.assert_array_equal(grid.view(np.int64), ref.view(np.int64))
-        # the midpoint of 0 and the smallest subnormal rounds to 0
-        tiny = LevelCount(np.array([5e-324, 0.25]), np.array([2, 1, 0]))
-        for u, v in ((tiny, tiny), (power_transform_density(tiny, 1.0 + 1e-9), tiny)):
-            np.testing.assert_array_equal(_default_hinge_grid(u, v), ref_hinge_grid(u, v))
+        # the midpoint of an underflowed 0 and the smallest subnormal is 0
+        tiny = SimpleNamespace(breakpoints=np.array([0.0, 5e-324, 0.25]))
+        np.testing.assert_array_equal(_default_hinge_grid(tiny, tiny), [0.0, 5e-324, 0.125, 0.25])
+        np.testing.assert_array_equal(ref_hinge_grid(tiny, tiny), [0.0, 5e-324, 0.125, 0.25])
 
     def test_mean_mismatch_raises(self):
         with pytest.raises(MeanMismatchError):
