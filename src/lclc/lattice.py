@@ -101,12 +101,19 @@ class LawKind(Enum):
         if not p > 0.0:  # one comparison on the solver's path
             check_order(p)  # a negative or NaN p raises; p = 0 diverges
             return math.inf
-        # 1 - lam**p via expm1 keeps precision when lam**p is close to 1
+        # 1 - lam**p via expm1 keeps precision when lam**p is close to 1;
+        # once p log lam is subnormal or 0, 1 - lam**p is -p log lam to
+        # within rounding, and its log is taken as log p + log(-log lam)
+        log_lam = math.log(lam)
+        drop = p * log_lam
+        if drop > -sys.float_info.min:
+            log_gap = math.log(p) + math.log(-log_lam)
+        else:
+            log_gap = math.log(-math.expm1(drop))
         if self is _GEOMETRIC:
-            return p * math.log1p(-lam) - math.log(-math.expm1(p * math.log(lam)))
-        lam_p = math.exp(p * math.log(lam))
+            return p * math.log1p(-lam) - log_gap
         return (p * (math.log1p(-lam) - math.log1p(lam))
-                + math.log1p(lam_p) - math.log(-math.expm1(p * math.log(lam))))
+                + math.log1p(math.exp(drop)) - log_gap)
 
     def renyi(self, lam: float, p: float) -> float:
         """H_p of the law, including the limit orders 0, 1 and inf."""

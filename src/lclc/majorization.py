@@ -30,6 +30,7 @@ from .report import CheckReport, from_margin
 
 HINGE_TOL = 1e-10
 MEAN_TOL = 1e-10
+_CROSSING_BLOCK = 1 << 16  # thresholds per block of crossing_verify
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,36 +262,93 @@ def crossing_interval(x, z: GeometricSequence) -> CrossingResult:
     return CrossingResult(a, b, float(zv[b]), float(w[a]))
 
 
+def _worst_of(ts, fz, fx, lo: float, hi: float):
+    """(slack, t, F_z, F_x) at the first worst slack over ascending ts, on
+    which the thresholds inside [lo, hi) are one slice."""
+    slack = fz - fx
+    inside = slice(*np.searchsorted(ts, (lo, hi)))
+    np.negative(slack[inside], out=slack[inside])
+    j = int(np.argmin(slack))
+    return int(slack[j]), float(ts[j]), int(fz[j]), int(fx[j])
+
+
+def _is_member(sorted_values: np.ndarray, ts):
+    """Whether each t is one of the ascending sorted_values."""
+    k = np.searchsorted(sorted_values, ts, side="right")
+    return (k > 0) & (sorted_values[k - 1] == ts)
+
+
 def crossing_verify(x, z: GeometricSequence) -> CheckReport:
     """Confirm the two-crossing sign pattern of F_z against F_x.
 
-    Evaluates both step functions at every breakpoint of either function
+    Both step functions are probed at every breakpoint of either function
     (comparator values down to below the interval's lower edge) and at the
-    interval's edges: each piece is probed once, at its left end. The margin
-    is the worst signed slack in level counts; a failure indicates a library
-    defect rather than a mathematical one.
+    interval's edges: each piece once, at its left end. Each side is read at
+    its own breakpoints, so the union of the thresholds is never built:
+    - at a breakpoint of x, F_x is the level count's next step, and F_z the
+      number of stored comparator values above it;
+    - at a stored comparator value, F_z is the number of stored values past
+      its run of equal values, and F_x a lookup into x's breakpoints.
+    The float values z_k do not increase with k, as the settle loop presumes
+    too, so no unstored value lies above the last stored one and these
+    counts are exact with respect to the float values z_k; only the edges
+    and the breakpoints below the last stored value go through the settle
+    loop of GeometricSequence.level_count. Thresholds are taken in blocks of
+    _CROSSING_BLOCK. The margin is the worst signed slack in level counts,
+    the first in ascending t. thresholds is the number of distinct probes:
+    those of both sides, less the equal values the lookups find. A failure
+    indicates a library defect rather than a mathematical one.
     """
     s = as_subject(x)
     result = crossing_interval(s, z)
+    lo, hi = result.lo, result.hi
     w = s.pmf.weights
     f_x = level_count(s)
+    breakpoints, counts = f_x.breakpoints, f_x.counts
 
-    # a monotone trimmed pmf has no zero mass; the thresholds are the
-    # distinct positive values of three sorted runs
-    lowest = max(min(float(w.min()), result.lo) / 4.0, 1e-300)
-    zv = z.value(np.arange(len(w) + 8))
-    ts = level_steps(np.concatenate(
-        (f_x.breakpoints, zv[zv >= lowest], [result.lo, result.hi])))[0]
+    # a monotone trimmed pmf has no zero mass; the comparator's thresholds
+    # are its stored values from lowest up, rising[first:]
+    lowest = max(min(float(w.min()), lo) / 4.0, 1e-300)
+    rising = np.ascontiguousarray(z.value(np.arange(len(w) + 8))[::-1])
+    n_stored = rising.size
+    first = int(np.searchsorted(rising, lowest))
 
-    fz = z.level_count(ts)
-    fx = f_x(ts)
-    inside = (result.lo <= ts) & (ts < result.hi)
-    slack = np.where(inside, fx - fz, fz - fx)
-    j = int(np.argmin(slack))  # first occurrence of the worst slack
+    candidates = []
+    shared = 0  # breakpoints of x that are comparator thresholds too
+    for i in range(0, breakpoints.size, _CROSSING_BLOCK):
+        ts = breakpoints[i:i + _CROSSING_BLOCK]
+        ends = np.searchsorted(rising, ts, side="right")
+        shared += int(np.count_nonzero((ends > first) & (rising[ends - 1] == ts)))
+        fz = n_stored - ends
+        low = int(np.searchsorted(ts, rising[0]))
+        if low:
+            fz[:low] = z.level_count(ts[:low])
+        candidates.append(_worst_of(ts, fz, counts[i + 1:i + 1 + ts.size], lo, hi))
+
+    distinct = 0  # a run of equal stored values is one threshold
+    for i in range(first, n_stored, _CROSSING_BLOCK):
+        ts = rising[i:i + _CROSSING_BLOCK]
+        fz = np.arange(n_stored - 1 - i, n_stored - 1 - i - ts.size, -1)
+        after = rising[i + 1:i + 1 + ts.size]
+        tied = np.flatnonzero(ts[:after.size] == after)
+        fz[tied] = n_stored - np.searchsorted(rising, ts[tied], side="right")
+        distinct += ts.size - tied.size
+        fx = counts[np.searchsorted(breakpoints, ts, side="right")]
+        candidates.append(_worst_of(ts, fz, fx, lo, hi))
+
+    # hi is a mass of x and lo <= hi a comparator value, no threshold once
+    # it underflowed to 0; each may already be a threshold of either side
+    edges = np.array([lo, hi] if 0.0 < lo < hi else [hi])
+    fx = counts[np.searchsorted(breakpoints, edges, side="right")]
+    candidates.append(_worst_of(edges, z.level_count(edges), fx, lo, hi))
+    known = _is_member(breakpoints, edges) | _is_member(rising[first:], edges)
+    thresholds = breakpoints.size + distinct - shared + int(np.count_nonzero(~known))
+
+    slack, worst_t, fz, fx = min(candidates)
     params = {"a": result.first_index, "b": result.last_index,
-              "interval_lo": result.lo, "interval_hi": result.hi,
-              "thresholds": int(ts.size), "worst_t": float(ts[j])}
-    return from_margin("crossing_pattern", fz[j], fx[j], slack[j], 0.0, params)
+              "interval_lo": lo, "interval_hi": hi,
+              "thresholds": thresholds, "worst_t": worst_t}
+    return from_margin("crossing_pattern", fz, fx, slack, 0.0, params)
 
 
 # ---------------------------------------------------------------------------

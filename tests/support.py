@@ -8,7 +8,10 @@ monotone half builds the symmetric families.
 
 The scalar_* functions evaluate the crossing and folding checks one
 threshold at a time; the library's array evaluation must reproduce them
-exactly. direct_difference is the law of X - Y by direct convolution over
+exactly. ref_crossing_verify evaluates the crossing check over the sorted
+union of its thresholds, with the settle loop at every one of them; the
+library's blocked reading of each side's own breakpoints must reproduce
+its report field for field. direct_difference is the law of X - Y by direct convolution over
 every lag, which the library's mirrored FFT autocorrelation must match to
 rounding. The loop_* functions evaluate hinge expectations, means, the
 convex-order certificate and the layer-cake sum one segment and one hinge
@@ -39,7 +42,7 @@ import numpy as np
 from lclc.entropy import power_sum, varentropy
 from lclc.inequalities import DEFAULT_ALPHA_GRID
 from lclc.errors import BadLambdaError, BadOrdersError, MeanMismatchError
-from lclc.lattice import LatticePMF, normalize, symmetry_center
+from lclc.lattice import LatticePMF, as_subject, level_steps, normalize, symmetry_center
 from lclc.lyapunov import DEFAULT_N_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN, phi_second_derivative
 from lclc.majorization import (
     HINGE_TOL,
@@ -157,6 +160,38 @@ def scalar_crossing_verify(x: LatticePMF, z, n_samples: int = 0) -> CheckReport:
     return CheckReport("crossing_pattern", float(worst_counts[0]),
                        float(worst_counts[1]), float(worst),
                        "pass" if ok else "fail", params)
+
+
+def crossing_union(x, z) -> np.ndarray:
+    """The sorted distinct thresholds crossing_verify probes: the level
+    count's breakpoints, the comparator values from lowest up and the
+    interval's edges."""
+    s = as_subject(x)
+    result = crossing_interval(s, z)
+    w = s.pmf.weights
+    lowest = max(min(float(w.min()), result.lo) / 4.0, 1e-300)
+    zv = z.value(np.arange(len(w) + 8))
+    return level_steps(np.concatenate(
+        (level_count(s).breakpoints, zv[zv >= lowest], [result.lo, result.hi])))[0]
+
+
+def ref_crossing_verify(x, z) -> CheckReport:
+    """crossing_verify's report from the sorted union of its thresholds,
+    with F_z from the settle loop of z.level_count and F_x by lookup at
+    every threshold of the union."""
+    s = as_subject(x)
+    result = crossing_interval(s, z)
+    f_x = level_count(s)
+    ts = crossing_union(s, z)
+    fz = z.level_count(ts)
+    fx = f_x(ts)
+    inside = (result.lo <= ts) & (ts < result.hi)
+    slack = np.where(inside, fx - fz, fz - fx)
+    j = int(np.argmin(slack))  # first occurrence of the worst slack
+    params = {"a": result.first_index, "b": result.last_index,
+              "interval_lo": result.lo, "interval_hi": result.hi,
+              "thresholds": int(ts.size), "worst_t": float(ts[j])}
+    return from_margin("crossing_pattern", fz[j], fx[j], slack[j], 0.0, params)
 
 
 def scalar_fold_violation(x: LatticePMF) -> int:

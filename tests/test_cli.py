@@ -569,8 +569,7 @@ def test_library_refusal_reads_as_verify(check):
     assert str(exc.value) == reason
 
 
-# (module, function) pairs whose calls one verify must make exactly once;
-# level_steps, the one sort, also merges crossing_verify's thresholds
+# (module, function) pairs whose calls one verify must make exactly once
 COUNTED = (("lattice", "is_log_concave"), ("lattice", "monotonicity"),
            ("lattice", "symmetry_center"), ("lattice", "difference"),
            ("lattice", "level_steps"), ("matching", "match_geometric"),
@@ -614,8 +613,8 @@ def test_verify_decides_each_fact_once(tmp_path, monkeypatch, source, family):
     assert run(config, io.StringIO()) == 0
     expected = {name: 1 for _, name in COUNTED}
     expected[({"match_geometric", "match_symmetric_geometric"} - {family}).pop()] = 0
-    # the subject's level count, then on a monotone law the crossing grid
-    expected["level_steps"] = 2 if family == "match_geometric" else 1
+    # the subject's level count; the crossing check reads its steps and the
+    # stored comparator values, and sorts nothing
     assert counts == expected
 
 
@@ -817,6 +816,31 @@ def test_a_failed_match_refuses_match_and_crossing(tmp_path, capsys):
         code, err = _rows([command, "--input", path], capsys)
         assert code == 2
         assert err.startswith(f"error: {command}: no sign change on ["), err
+
+
+@pytest.mark.parametrize("p", [1e-310, 1e-320, 5e-324])
+@pytest.mark.parametrize("doc", [
+    {"law": "geometric", "lambda": 0.9},
+    {"law": "symmetric_geometric", "lambda": 0.9},
+    {"weights": [0.5, 0.3, 0.15, 0.05]},
+])
+def test_a_subnormal_order_finds_no_match(tmp_path, capsys, doc, p):
+    """At orders where p log lam is subnormal or 0 near lam = 1, the
+    comparator's power sum takes log(1 - lam**p) as log p + log(-log lam):
+    match and crossing exit 2 with one line, and verify marks
+    renyi_dominance n/a and exits 0."""
+    path = _write_dist(tmp_path, doc)
+    monotone = doc.get("law") != "symmetric_geometric"
+    for command in ("match", "crossing"):
+        code = main([command, "--input", path, "--p", repr(p)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.count("\n") == 1, err
+        if monotone or command == "match":
+            assert err.startswith(f"error: {command}: no sign change on ["), err
+    code, rows = _rows(["verify", "--input", path, "--p", repr(p)], capsys)
+    assert code == 0
+    assert rows[-1][:2] == ("renyi_dominance", "n/a")
+    assert rows[-1][2].startswith("no sign change on [")
 
 
 def test_verify_never_exits_2_at_a_drawn_order(tmp_path, capsys):

@@ -164,6 +164,25 @@ def test_law_kind_closed_forms_equal_the_references_bitwise(kind):
             assert _outcome(lambda *a: math.exp(kind.log_power_sum(*a)), *args) == psi, args
 
 
+@pytest.mark.parametrize("kind", list(LawKind))
+def test_law_kind_power_sums_at_subnormal_products(kind):
+    """Where p log lam is subnormal or underflows to 0, log(1 - lam**p) is
+    taken as log p + log(-log lam), within rounding of the 40-digit value;
+    expm1 of a subnormal product keeps only its few significant bits."""
+    import mpmath
+
+    for p in (5e-324, 1e-320, 1e-310, 2e-308, 1e-300):
+        for lam in (1e-12, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-12):
+            with mpmath.workdps(40):
+                lam_mp, p_mp = mpmath.mpf(lam), mpmath.mpf(p)
+                exact = p_mp * mpmath.log1p(-lam_mp) - mpmath.log(
+                    -mpmath.expm1(p_mp * mpmath.log(lam_mp)))
+                if kind is LawKind.SYMMETRIC_GEOMETRIC:
+                    exact += (mpmath.log1p(lam_mp ** p_mp)
+                              - p_mp * mpmath.log1p(lam_mp))
+            assert kind.log_power_sum(lam, p) == pytest.approx(float(exact), rel=1e-15), (p, lam)
+
+
 class TestVarentropy:
     def test_uniform_and_dirac_are_zero(self):
         assert varentropy(normalize(np.ones(5))) == 0.0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lclc import majorization
 from lclc.entropy import power_sum
 from lclc.errors import (
     MeanMismatchError,
@@ -40,6 +41,7 @@ from lclc.majorization import (
 )
 from lclc.matching import match_geometric
 from support import (
+    crossing_union,
     loop_cake_layer_check,
     loop_convex_order_check,
     loop_hinge_expectation,
@@ -47,6 +49,7 @@ from support import (
     random_monotone_log_concave,
     random_pmf,
     random_symmetric_log_concave,
+    ref_crossing_verify,
     ref_hinge_grid,
     ref_level_count,
     scalar_crossing_verify,
@@ -377,31 +380,22 @@ class TestArrayEvaluation:
 
     def test_level_count_settles_from_its_log_estimate(self, monkeypatch):
         # settling from the log estimate takes 2.8 power evaluations per
-        # threshold here, from two steps below it 4.8
+        # threshold on the union of a geometric 0.999 crossing check's
+        # thresholds, from two steps below it 4.8
         x = materialize(ParametricLaw.geometric(0.999))
         z = _matched(x, 2.0)
-        value, level_count = GeometricSequence.value, GeometricSequence.level_count
-        counted = {"thresholds": 0, "powers": 0}
-        settling = []
+        ts = crossing_union(x, z)
+        value = GeometricSequence.value
+        powers = []
 
         def counting_value(self, k):
-            if settling:
-                counted["powers"] += np.size(k)
+            powers.append(np.size(k))
             return value(self, k)
 
-        def counting_level_count(self, t):
-            counted["thresholds"] += np.size(t)
-            settling.append(True)
-            try:
-                return level_count(self, t)
-            finally:
-                settling.pop()
-
         monkeypatch.setattr(GeometricSequence, "value", counting_value)
-        monkeypatch.setattr(GeometricSequence, "level_count", counting_level_count)
-        assert crossing_verify(x, z).passed
-        assert counted["thresholds"] > 10_000
-        assert counted["powers"] <= 3 * counted["thresholds"], counted
+        z.level_count(ts)
+        assert ts.size > 10_000
+        assert sum(powers) <= 3 * ts.size, (sum(powers), ts.size)
 
     def test_level_count_rejects_non_positive_thresholds(self):
         z = GeometricSequence(0.5, 0.7)
@@ -454,7 +448,9 @@ class TestArrayEvaluation:
 
     def test_memory_of_crossing_at_345k_atoms(self):
         # geometric 0.9999 (345,371 atoms), its level count already cached:
-        # one probe per piece keeps the peak below that of probing midpoints
+        # each side is read at its own breakpoints in blocks, so the peak
+        # (5.3 MiB) is two arrays of comparator values; the sorted union of
+        # both sides' thresholds took 35 MiB
         s = Subject(materialize(ParametricLaw.geometric(0.9999)))
         z = _matched(s.pmf, 2.0)
         crossing_verify(s, z)  # caches the level count
@@ -465,7 +461,75 @@ class TestArrayEvaluation:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak < 56 * 2**20
+        assert peak < 8 * 2**20
+
+
+def _tied_at_the_mode(rng, x: LatticePMF) -> LatticePMF:
+    """x with its largest mass repeated up to three more times; a plateau at
+    the mode keeps the pmf monotone and log-concave."""
+    w, copies = x.weights, int(rng.integers(1, 4))
+    top = np.full(copies, w.max())
+    return normalize(np.concatenate((top, w) if w[0] >= w[-1] else (w, top)), x.offset)
+
+
+def _has_low_thresholds(x, z) -> bool:
+    """Whether some breakpoint of x lies below the last stored value."""
+    return level_count(x).breakpoints[0] < z.value(len(x) + 7)
+
+
+class TestBlockedCrossing:
+    """crossing_verify, which reads each side at its own breakpoints in
+    blocks, against ref_crossing_verify, which evaluates the sorted union
+    of the thresholds with the settle loop at each one: every field of the
+    report, thresholds and worst_t included."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(2424)
+        for k in range(60):
+            direction = "decreasing" if k % 2 else "increasing"
+            x = random_monotone_log_concave(rng, max_support=300, direction=direction)
+            if k % 3 == 0:
+                x = _tied_at_the_mode(rng, x)
+            z = _matched(x, float(rng.choice([1.5, 2.0, 3.0])))
+            yield x, z
+            # a faster-decaying comparator with the same top, whose last
+            # stored value lies below every breakpoint of x
+            drop = (float(x.weights.min()) / (2.0 * z.coeff)) ** (1.0 / (len(x) + 7))
+            yield x, GeometricSequence(z.coeff, min(z.ratio, drop))
+        # stored values that tie: 16 among the first 40 of this comparator,
+        # against pmfs above it at the top, and a sequence of its own values
+        tied = GeometricSequence(0.3, 1 - 2**-53)
+        for n in (3, 40, 200):
+            yield normalize(0.6 ** np.arange(n)), tied
+        yield LatticePMF(0, tied.value(np.arange(40))), tied
+        # masses that are stored comparator values, with a lower tail
+        z = GeometricSequence(0.25, 0.8)
+        yield LatticePMF(0, np.concatenate((z.value(np.arange(30)), [1e-9, 1e-12]))), z
+        yield materialize(ParametricLaw.geometric(0.99)), _matched(
+            materialize(ParametricLaw.geometric(0.99)), 2.0)
+
+    @pytest.mark.parametrize("block", [2**4, 2**16])
+    def test_matches_the_union_form(self, monkeypatch, block):
+        monkeypatch.setattr(majorization, "_CROSSING_BLOCK", block)
+        low = clear = 0
+        for x, z in self._cases():
+            report, ref = crossing_verify(x, z), ref_crossing_verify(x, z)
+            assert repr(report) == repr(ref), (x, z)
+            if _has_low_thresholds(x, z):
+                low += 1
+            else:
+                clear += 1
+        assert low >= 20 and clear >= 20, (low, clear)
+
+    def test_tied_stored_values_are_one_threshold(self):
+        z = GeometricSequence(0.3, 1 - 2**-53)
+        zv = z.value(np.arange(48))
+        assert np.count_nonzero(zv[1:40] == zv[:39]) == 16
+        x = LatticePMF(0, zv[:40])
+        report = crossing_verify(x, z)
+        assert report.params["thresholds"] == np.unique(zv).size
+        assert report == ref_crossing_verify(x, z)
 
 
 def _uniform_density(hi: float) -> LevelCount:
