@@ -7,6 +7,11 @@ explicit pmfs were drawn once with perfbench's ``random_weights`` (numpy
 the rest are written out by hand: interior zeros, a Dirac mass, equal masses,
 a far offset, masses whose squares underflow, and the matching failures.
 They are stored, not generated, so a change to a generator cannot move them.
+The large explicit pmfs (5,000 to 70,001 atoms) are stated by a formula
+instead, perfbench's log-weights ``log w_i = -a i - c i**2``, which
+``load_inputs`` expands (see ``expand``); one of them has the weights of
+geometric 0.999 (``a = -log 0.999``, ``c = 0``), so that explicit weights
+equal to a parametric law's are in the corpus too.
 
 A call is one ``lclc.cli.run`` (every subcommand, in CSV and in JSON) or one
 library certificate the CLI does not reach (``convex_order_check`` and
@@ -29,6 +34,8 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
@@ -57,7 +64,25 @@ CONVEX_ORDERS = (2.0, 3.0)
 
 def load_inputs() -> dict[str, dict]:
     with open(INPUTS, encoding="utf-8") as fh:
-        return json.load(fh)
+        return {name: expand(doc) for name, doc in json.load(fh).items()}
+
+
+def expand(doc: dict) -> dict:
+    """The input document a stored one states. A document with log_weights
+    {shape, atoms, a, c} stands for the explicit pmf whose weights are
+    exp(-a i - c i**2): over i = 0, ..., atoms - 1 for a decreasing shape,
+    the same reversed for an increasing one, and over i = |j - (atoms - 1) / 2|
+    for a symmetric one of odd atoms. Any other document is itself."""
+    if "log_weights" not in doc:
+        return doc
+    spec = doc["log_weights"]
+    i = np.arange(spec["atoms"], dtype=np.float64)
+    if spec["shape"] == "symmetric":
+        i = np.abs(i - (spec["atoms"] - 1) // 2)
+    weights = np.exp(-spec["a"] * i - spec["c"] * i**2)
+    if spec["shape"] == "increasing":
+        weights = weights[::-1]
+    return {"offset": doc["offset"], "weights": weights.tolist()}
 
 
 def _key(*parts) -> str:
