@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -170,6 +170,32 @@ class LawKind(Enum):
         e_sq = 2.0 * lam / (1.0 - lam) ** 2
         return math.log(lam) ** 2 * (e_sq - e_abs * e_abs)
 
+    def difference_lags(self, lam: float, n_max: int, start: int,
+                        out: np.ndarray) -> np.ndarray:
+        """out filled, in place, with d_k = sum_i lam**|i| lam**|i + k| over
+        the atoms the law keeps when truncated at n_max (0 <= i <= N for the
+        geometric law, |i| <= N for the symmetric one, N = n_max), at the
+        lags k = start, start + 1, ...: the law of X - Y for iid X, Y drawn
+        from the truncated law, up to the square of its mass at 0. The
+        geometric law gives lam**k (1 - lam**(2(N-k+1))) / (1 - lam**2);
+        the symmetric one lam**k (k + 1 + 2 lam**2 (1 - lam**(2(N-k))) /
+        (1 - lam**2)) for k <= N and (2N - k + 1) lam**k above. Every term
+        is non-negative, and each 1 - lam**m is -expm1(m log lam), so
+        nothing cancels; lam**k is exp(k log lam), as materialize takes it."""
+        log_lam = math.log(lam)
+        span = 2.0 * log_lam
+        k = np.arange(start, start + out.size, dtype=np.float64)
+        np.exp(np.multiply(k, log_lam, out=out), out=out)
+        if self is _GEOMETRIC:
+            out *= np.expm1((n_max + 1 - k) * span) / math.expm1(span)
+            return out
+        near = min(out.size, max(0, n_max + 1 - start))  # the lags k <= N
+        inner = k[:near]
+        out[:near] *= (np.expm1((n_max - inner) * span)
+                       * (2.0 * math.exp(span) / math.expm1(span)) + (inner + 1.0))
+        out[near:] *= 2 * n_max + 1 - k[near:]
+        return out
+
 
 _GEOMETRIC = LawKind.GEOMETRIC
 
@@ -204,10 +230,16 @@ class LatticePMF:
     in place. That copy, and the laws that materialize and difference
     build, become the weights through _adopt, with no second copy or
     check.
+
+    law records the ParametricLaw whose truncation the weights are. Only
+    materialize sets it; every other pmf, explicit weights that happen to
+    be geometric included, has None. difference reads it to build the law
+    of X - Y in closed form.
     """
 
     offset: int
     weights: np.ndarray
+    law: ParametricLaw | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         w = _checked_weights(self.weights)
@@ -218,13 +250,15 @@ class LatticePMF:
         object.__setattr__(self, "offset", _float_sized_offset(self.offset))
 
     @classmethod
-    def _adopt(cls, offset: int, w: np.ndarray) -> "LatticePMF":
+    def _adopt(cls, offset: int, w: np.ndarray,
+               law: ParametricLaw | None = None) -> "LatticePMF":
         """The pmf whose weights are w itself, frozen: w must be a checked,
         trimmed float array that nothing else holds."""
         w.flags.writeable = False
         x = object.__new__(cls)
         object.__setattr__(x, "offset", _float_sized_offset(offset))
         object.__setattr__(x, "weights", w)
+        object.__setattr__(x, "law", law)
         return x
 
     def __len__(self) -> int:
@@ -286,10 +320,10 @@ def normalize(weights, offset: int = 0) -> LatticePMF:
     return _normalized(_checked_weights(weights), offset)
 
 
-def _normalized(w: np.ndarray, offset: int) -> LatticePMF:
+def _normalized(w: np.ndarray, offset: int, law: ParametricLaw | None = None) -> LatticePMF:
     """normalize() of finite non-negative float weights w that nothing else
     holds: w is scaled in place and its trimmed view adopted as the pmf's
-    weights."""
+    weights, with law as its record."""
     with np.errstate(over="ignore"):
         total = float(w.sum())
     if total == 0.0:  # a sum of non-negative numbers is 0 only if all are
@@ -304,7 +338,7 @@ def _normalized(w: np.ndarray, offset: int) -> LatticePMF:
     if w[0] == 0.0 or w[-1] == 0.0:
         positive = w > 0.0  # a one-byte mask: the ends need no index array
         first, last = int(positive.argmax()), last - int(positive[::-1].argmax())
-    return LatticePMF._adopt(offset + first, w[first : last + 1])
+    return LatticePMF._adopt(offset + first, w[first : last + 1], law)
 
 
 def is_log_concave(x: LatticePMF) -> bool:
@@ -553,7 +587,8 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> Latti
     The discarded tail mass is strictly below tail_tol before the final
     renormalization. For the geometric law the mass beyond n_max is
     lam**(n_max + 1); for the symmetric law the two discarded tails sum to
-    2 * lam**(n_max + 1) / (1 + lam).
+    2 * lam**(n_max + 1) / (1 + lam). The pmf records law, so that
+    difference builds its law of X - Y in closed form.
     """
     if not (0.0 < tail_tol <= 1e-6):
         raise BadToleranceError(f"tail_tol must lie in (0, 1e-6], got {tail_tol}")
@@ -572,13 +607,13 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> Latti
         w *= log_lam
         np.exp(w, out=w)
         w *= 1.0 - lam
-        return _normalized(w, 0)
+        return _normalized(w, 0, law)
     # lam**|k| on the right half, exponentiated in place and mirrored
-    law = np.empty(2 * n_max + 1)
-    right = np.multiply(np.arange(n_max + 1), log_lam, out=law[n_max:])
+    w = np.empty(2 * n_max + 1)
+    right = np.multiply(np.arange(n_max + 1), log_lam, out=w[n_max:])
     np.exp(right, out=right)
-    law[:n_max] = right[:0:-1]
-    return _normalized(law, -n_max)
+    w[:n_max] = right[:0:-1]
+    return _normalized(w, -n_max, law)
 
 
 def difference(x: LatticePMF) -> LatticePMF:
@@ -586,16 +621,32 @@ def difference(x: LatticePMF) -> LatticePMF:
 
     P(X - Y = k) is the autocorrelation of the weights at lag |k|. The lags
     k >= 0 are computed once and mirrored, so the weights equal their
-    reverse bit for bit. Up to _DIRECT_PRODUCTS products they come from a
-    direct convolution; above, from one real FFT at a 5-smooth length of at
-    least 2n - 1 (so no lag wraps), whose spectrum is squared in place into
-    |F|**2 and transformed back, with rounding noise clipped at 0. Either
-    output buffer is long enough to hold the law, which is mirrored into it
-    in place.
+    reverse bit for bit. Two paths compute them:
+    - a pmf that materialize built records its law, and its lags come from
+      that family's closed form (LawKind.difference_lags) scaled by the
+      square of the mass at 0, written in blocks of _BLOCK lags into the
+      one buffer of 2n - 1 entries. Every lag keeps its own relative
+      precision, so the law has all 2n - 1 atoms;
+    - any other pmf has no record. Up to _DIRECT_PRODUCTS products its lags
+      come from a direct convolution; above, from one real FFT at a
+      5-smooth length of at least 2n - 1 (so no lag wraps), whose spectrum
+      is squared in place into |F|**2 and transformed back, with rounding
+      noise clipped at 0. Either output buffer is long enough to hold the
+      law.
+    The lags are then mirrored into the buffer in place.
     """
     w = x.weights
     n = w.size
-    if n * n <= _DIRECT_PRODUCTS:
+    if x.law is not None:
+        kind, lam = x.law.kind, x.law.lam
+        n_max = n - 1 if kind is _GEOMETRIC else n // 2  # the atoms kept
+        scale = x.pmf(0) ** 2  # both families have their mode at 0
+        law = np.empty(2 * n - 1)
+        for start in range(0, n, _BLOCK):
+            lags = law[n - 1 + start:n - 1 + min(n, start + _BLOCK)]
+            kind.difference_lags(lam, n_max, start, lags)
+            lags *= scale
+    elif n * n <= _DIRECT_PRODUCTS:
         law = np.convolve(w, w[::-1])  # lag k at n - 1 + k
     else:
         m = _smooth_length(2 * n - 1)

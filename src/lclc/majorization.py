@@ -254,12 +254,21 @@ def crossing_interval(x, z: GeometricSequence) -> CrossingResult:
     w = s.pmf.weights
     if s.direction is Direction.INCREASING:
         w = w[::-1]
-    zv = z.value(np.arange(len(w)))
+    zv = _stored_values(s, z)[:7:-1]  # z_0, ..., z_{n-1}
     above = np.flatnonzero(w >= zv)
     if above.size == 0:
         raise NoCrossingError("x is everywhere below the comparator")
     a, b = int(above[0]), int(above[-1])
     return CrossingResult(a, b, float(zv[b]), float(w[a]))
+
+
+def _stored_values(s, z: GeometricSequence) -> np.ndarray:
+    """The comparator values z_k at k = n + 7, ..., 1, 0 for a subject of n
+    atoms, so ascending: computed once per subject and comparator, for
+    crossing_interval to read a and b off and crossing_verify to take as its
+    thresholds."""
+    n = len(s.pmf)
+    return s.fact(("stored_values", z), lambda: z.value(np.arange(n + 7, -1, -1)))
 
 
 def _worst_of(ts, fz, fx, lo: float, hi: float):
@@ -309,7 +318,7 @@ def crossing_verify(x, z: GeometricSequence) -> CheckReport:
     # a monotone trimmed pmf has no zero mass; the comparator's thresholds
     # are its stored values from lowest up, rising[first:]
     lowest = max(min(float(w.min()), lo) / 4.0, 1e-300)
-    rising = np.ascontiguousarray(z.value(np.arange(len(w) + 8))[::-1])
+    rising = _stored_values(s, z)
     n_stored = rising.size
     first = int(np.searchsorted(rising, lowest))
 

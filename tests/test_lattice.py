@@ -27,6 +27,7 @@ from lclc.lattice import (
     NON_DEGENERATE,
     Direction,
     LatticePMF,
+    LawKind,
     ParametricLaw,
     Structure,
     Subject,
@@ -50,6 +51,14 @@ def pmfs(draw, max_n=24):
     logs = draw(st.lists(st.floats(-20.0, 0.0), min_size=n, max_size=n))
     offset = draw(st.integers(-10, 10))
     return normalize(np.exp(np.asarray(logs)), offset)
+
+
+def _explicit(x: LatticePMF) -> LatticePMF:
+    """A pmf with the weights and offset of x and no record of a law, so
+    that difference takes the direct or the transform path on it."""
+    y = LatticePMF(x.offset, x.weights)
+    assert y.law is None
+    return y
 
 
 class TestNormalize:
@@ -152,10 +161,12 @@ class TestNormalize:
         assert a.flags.writeable  # the caller's array is left as it was
 
     def test_built_laws_are_frozen(self):
+        geometric = materialize(ParametricLaw.geometric(0.999))
         for x in (materialize(ParametricLaw.geometric(0.5)),
                   materialize(ParametricLaw.symmetric_geometric(0.5)),
                   difference(normalize([1.0, 2.0, 3.0])),  # the direct path
-                  difference(materialize(ParametricLaw.geometric(0.999)))):  # the FFT
+                  difference(_explicit(geometric)),  # the FFT
+                  difference(geometric)):  # the closed form
             assert not x.weights.flags.writeable
             with pytest.raises(ValueError):
                 x.weights[0] = 0.3
@@ -323,9 +334,10 @@ class TestDifference:
         assert symmetry_center(d) == 0.0
 
     def test_bitwise_symmetric_at_690k_atoms(self):
-        # symmetric geometric 0.9999: the transform path, far above the
-        # crossover, where noise clipped at 0 must trim both ends alike
-        d = difference(materialize(ParametricLaw.symmetric_geometric(0.9999)))
+        # the weights of symmetric geometric 0.9999 as an explicit pmf: the
+        # transform path, far above the crossover, where noise clipped at 0
+        # must trim both ends alike
+        d = difference(_explicit(materialize(ParametricLaw.symmetric_geometric(0.9999))))
         assert len(d) == 2 * 690_741 - 1
         np.testing.assert_array_equal(d.weights, d.weights[::-1])
         assert symmetry_center(d) == 0.0
@@ -341,10 +353,10 @@ class TestDifference:
 
     @pytest.mark.parametrize("lam", [0.99, 0.999])
     def test_truncated_geometric_difference_law(self, lam):
-        # on N + 1 atoms, P(D = k) is proportional to
-        # lam**|k| * (1 - lam**(2(N - |k| + 1))); the max absolute error
-        # reads 1.1e-17 at 0.99 and 1.1e-18 at 0.999
-        x = materialize(ParametricLaw.geometric(lam))
+        # the transform path on the weights of geometric lam: on N + 1 atoms,
+        # P(D = k) is proportional to lam**|k| * (1 - lam**(2(N - |k| + 1)));
+        # the max absolute error reads 1.1e-17 at 0.99 and 1.1e-18 at 0.999
+        x = _explicit(materialize(ParametricLaw.geometric(lam)))
         d = difference(x)
         k = np.abs(np.arange(d.offset, d.offset + len(d)))
         exact = lam**k * -np.expm1(2 * (len(x) - k) * math.log(lam))
@@ -365,11 +377,11 @@ class TestDifference:
             138_240, 276_480, 1_382_400]
 
     def test_memory_at_690k_atoms(self):
-        # symmetric geometric 0.9999: one spectrum and one inverse transform,
-        # whose buffer then holds the mirrored law, normalized in place; two
-        # 10.5 MiB buffers at a time (reads 21.2 MiB; with a separate law
-        # and its trimmed copy, 22.5 MiB)
-        x = materialize(ParametricLaw.symmetric_geometric(0.9999))
+        # the weights of symmetric geometric 0.9999 as an explicit pmf: one
+        # spectrum and one inverse transform, whose buffer then holds the
+        # mirrored law, normalized in place; two 10.5 MiB buffers at a time
+        # (reads 21.2 MiB; with a separate law and its trimmed copy, 22.5 MiB)
+        x = _explicit(materialize(ParametricLaw.symmetric_geometric(0.9999)))
         tracemalloc.start()
         try:
             difference(x)
@@ -377,6 +389,69 @@ class TestDifference:
         finally:
             tracemalloc.stop()
         assert peak < 22 * 2**20
+
+
+CLOSED_FORM_LAWS = [ParametricLaw(kind, lam) for kind in LawKind
+                    for lam in (1e-20, 0.5, 0.9, 0.99, 0.999)]
+
+
+def _law_id(law: ParametricLaw) -> str:
+    return f"{law.kind.value}-{law.lam!r}"
+
+
+class TestClosedFormDifference:
+    """difference of a materialized law, from its family's closed form."""
+
+    def test_only_materialize_records_its_law(self):
+        law = ParametricLaw.geometric(0.5)
+        x = materialize(law)
+        assert x.law is law
+        assert pmf_from_json({"law": "geometric", "lambda": 0.5}).law == law
+        w = x.weights
+        for y in (normalize(w), LatticePMF(0, w), difference(x),
+                  pmf_from_json({"weights": w.tolist()})):
+            assert y.law is None
+        with pytest.raises(TypeError):
+            LatticePMF(0, w, law)  # the constructor takes no record
+
+    @pytest.mark.parametrize("law", CLOSED_FORM_LAWS, ids=_law_id)
+    def test_every_lag_matches_direct_convolution(self, law):
+        # against each lag of the materialized weights summed directly; the
+        # worst relative error reads 4.3e-15 (geometric) and 1.6e-14
+        # (symmetric geometric), at 0.999; lambda 1e-20 keeps one atom
+        x = materialize(law)
+        d = difference(x)
+        exact = direct_difference(x)
+        assert d.offset == 1 - len(x) and len(d) == exact.size
+        assert np.max(np.abs(d.weights - exact) / exact) <= 1e-13
+
+    @pytest.mark.parametrize("law", CLOSED_FORM_LAWS + [
+        ParametricLaw.geometric(0.9999), ParametricLaw.symmetric_geometric(0.9999)],
+        ids=_law_id)
+    def test_full_symmetric_log_concave_with_mode_at_zero(self, law):
+        # every lag is computed to its own relative precision, so no tail
+        # is clipped to 0 and trimmed; the transform keeps 13,731 of the
+        # 13,749 lags of symmetric geometric 0.99 and 690,739 of the
+        # 690,741 of geometric 0.9999
+        x = materialize(law)
+        d = difference(x)
+        assert len(d) == 2 * len(x) - 1
+        np.testing.assert_array_equal(d.weights, d.weights[::-1])
+        assert is_log_concave(d)
+        assert d.pmf(0) == d.max_weight
+
+    def test_memory_at_690k_atoms(self):
+        # symmetric geometric 0.9999: the lags are written in blocks of
+        # _BLOCK into the one buffer of 2n - 1 entries (10.54 MiB) and
+        # mirrored in place (reads 10.79 MiB; the transform reads 21.2 MiB)
+        x = materialize(ParametricLaw.symmetric_geometric(0.9999))
+        tracemalloc.start()
+        try:
+            difference(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 2**20
 
 
 class TestJsonInput:

@@ -449,11 +449,13 @@ class TestArrayEvaluation:
     def test_memory_of_crossing_at_345k_atoms(self):
         # geometric 0.9999 (345,371 atoms), its level count already cached:
         # each side is read at its own breakpoints in blocks, so the peak
-        # (5.3 MiB) is two arrays of comparator values; the sorted union of
-        # both sides' thresholds took 35 MiB
+        # (5.3 MiB) is the comparator values, computed once for the interval
+        # and the thresholds, and the indices they are computed from; the
+        # sorted union of both sides' thresholds took 35 MiB
         s = Subject(materialize(ParametricLaw.geometric(0.9999)))
         z = _matched(s.pmf, 2.0)
-        crossing_verify(s, z)  # caches the level count
+        crossing_verify(s.pmf, z)  # warm up lazy imports outside the measurement
+        level_count(s)  # caches the level count, not the comparator values
         tracemalloc.start()
         try:
             report = crossing_verify(s, z)
@@ -521,6 +523,17 @@ class TestBlockedCrossing:
             else:
                 clear += 1
         assert low >= 20 and clear >= 20, (low, clear)
+
+    def test_comparator_values_are_computed_once(self, monkeypatch):
+        # crossing_interval reads a and b off the stored values that
+        # crossing_verify then takes as its thresholds
+        x = materialize(ParametricLaw.geometric(0.99))
+        z = _matched(x, 2.0)
+        sizes, value = [], GeometricSequence.value
+        monkeypatch.setattr(GeometricSequence, "value",
+                            lambda self, k: sizes.append(np.size(k)) or value(self, k))
+        assert crossing_verify(x, z).passed
+        assert [size for size in sizes if size >= len(x)] == [len(x) + 8]
 
     def test_tied_stored_values_are_one_threshold(self):
         z = GeometricSequence(0.3, 1 - 2**-53)
