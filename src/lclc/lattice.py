@@ -643,7 +643,7 @@ def difference(x: LatticePMF) -> LatticePMF:
         scale = x.pmf(0) ** 2  # both families have their mode at 0
         law = np.empty(2 * n - 1)
         for start in range(0, n, _BLOCK):
-            lags = law[n - 1 + start:n - 1 + min(n, start + _BLOCK)]
+            lags = law[n - 1 + start:n - 1 + start + _BLOCK]
             kind.difference_lags(lam, n_max, start, lags)
             lags *= scale
     elif n * n <= _DIRECT_PRODUCTS:
