@@ -18,7 +18,9 @@ import numpy as np
 from .lattice import as_subject, check_order
 
 INF = math.inf
-_LEAF = 4_096  # terms per block of a sum: 32 KiB, which malloc serves from its heap
+# terms per block of a sum: 62 KiB, which malloc serves from its heap even
+# when it maps every block of 64 KiB and more on its own
+_LEAF = 7_936
 
 
 def pairwise_sum(n: int, terms) -> float:

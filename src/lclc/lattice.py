@@ -44,7 +44,7 @@ _SYMMETRY_TOL = 1e-12
 _LOG_CONCAVE_REL_TOL = 1e-12
 MAX_SUPPORT = 20_000_000  # atoms a truncation may take
 _DIRECT_PRODUCTS = 4_000_000  # difference convolves directly up to ~2,000 atoms
-_BLOCK = 8_192  # entries per block of the log-concavity and symmetry tests
+_BLOCK = 8_192  # entries per block of the predicates and of the laws' construction
 
 
 class Direction(Enum):
@@ -442,6 +442,35 @@ def level_steps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return breakpoints, np.subtract(n, counts, out=counts)
 
 
+def recorded_steps(x: LatticePMF) -> tuple[np.ndarray, np.ndarray] | None:
+    """level_steps(x.weights), bit for bit, read off x's record with no
+    sort, when x is a law that materialize built whose decreasing half
+    (all of a geometric law, the right half of a symmetric one) is strictly
+    decreasing; else None. A geometric law's breakpoints are its weights
+    reversed, and F counts n, n - 1, ..., 0; a symmetric law's breakpoints
+    are its left half, ascending, and F counts n, n - 2, ..., 1, 0, since
+    every mass but the center's is held twice. A tail_tol near the float
+    range keeps subnormal masses that tie, and such a law is left to the
+    sort. The half's neighbours are compared in blocks of _BLOCK entries,
+    in one buffer allocated once per call."""
+    if x.law is None:
+        return None
+    w = x.weights
+    n = w.size
+    geometric = x.law.kind is _GEOMETRIC
+    half = w if geometric else w[n // 2:]
+    holds = np.empty(min(_BLOCK, max(half.size - 1, 1)), dtype=bool)
+    for i in range(0, half.size - 1, holds.size):
+        k = min(holds.size, half.size - 1 - i)
+        if not np.less(half[i + 1:i + 1 + k], half[i:i + k], out=holds[:k]).all():
+            return None
+    if geometric:  # the breakpoints contiguous, for the searches that read them
+        return w[::-1].copy(), np.arange(n, -1, -1)
+    counts = np.arange(n, -2, -2)  # n, n - 2, ..., 1, and -1 read as 0
+    counts[-1] = 0
+    return w[:n // 2 + 1], counts
+
+
 class MassTable(NamedTuple):
     """The law of the information content -log x_I, I ~ x: the distinct
     positive masses v from the largest down, their logs, the number m of
@@ -504,9 +533,15 @@ class Subject:
 
     @property
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """level_steps of the pmf's masses: the one sort of the subject,
-        which its level count and its mass table read."""
-        return self.fact("levels", lambda: level_steps(self.pmf.weights))
+        """level_steps of the pmf's masses, which its level count and its
+        mass table read: read off the record of a law that materialize
+        built (recorded_steps), with no sort, or else from level_steps, the
+        one sort of the subject."""
+        return self.fact("levels", self._levels)
+
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+        steps = recorded_steps(self.pmf)
+        return level_steps(self.pmf.weights) if steps is None else steps
 
     @property
     def mass_table(self) -> MassTable:
@@ -587,8 +622,10 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> Latti
     The discarded tail mass is strictly below tail_tol before the final
     renormalization. For the geometric law the mass beyond n_max is
     lam**(n_max + 1); for the symmetric law the two discarded tails sum to
-    2 * lam**(n_max + 1) / (1 + lam). The pmf records law, so that
-    difference builds its law of X - Y in closed form.
+    2 * lam**(n_max + 1) / (1 + lam), and when tail_tol * (1 + lam) / 2
+    lies below the float range the tail is cut where lam**(n_max + 1) is 0.
+    The pmf records law, so that difference builds its law of X - Y in
+    closed form and Subject.levels reads its level steps off it.
     """
     if not (0.0 < tail_tol <= 1e-6):
         raise BadToleranceError(f"tail_tol must lie in (0, 1e-6], got {tail_tol}")
@@ -596,6 +633,9 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> Latti
     log_lam = math.log(lam)
     geometric = law.kind is LawKind.GEOMETRIC
     threshold = tail_tol if geometric else tail_tol * (1.0 + lam) / 2.0
+    # a threshold that underflowed to 0 stands as the smallest subnormal:
+    # a float lam**k lies below either only once it is 0
+    threshold = max(threshold, math.ulp(0.0))
     n_max = max(0, math.ceil(math.log(threshold) / log_lam) - 1)
     while lam ** (n_max + 1) >= threshold:
         n_max += 1
@@ -608,9 +648,13 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> Latti
         np.exp(w, out=w)
         w *= 1.0 - lam
         return _normalized(w, 0, law)
-    # lam**|k| on the right half, exponentiated in place and mirrored
+    # lam**|k| on the right half: k log lam from a float arange, a block of
+    # _BLOCK at a time, then exponentiated in place and mirrored
     w = np.empty(2 * n_max + 1)
-    right = np.multiply(np.arange(n_max + 1), log_lam, out=w[n_max:])
+    right = w[n_max:]
+    for start in range(0, n_max + 1, _BLOCK):
+        k = right[start:start + _BLOCK]
+        np.multiply(np.arange(start, start + k.size, dtype=np.float64), log_lam, out=k)
     np.exp(right, out=right)
     w[:n_max] = right[:0:-1]
     return _normalized(w, -n_max, law)

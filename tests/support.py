@@ -16,9 +16,11 @@ every lag, which the library's mirrored FFT autocorrelation must match to
 rounding. The loop_* functions evaluate hinge expectations, means, the
 convex-order certificate and the layer-cake sum one segment and one hinge
 at a time; the library's suffix-sum tables and array sums must agree with
-them to rounding. tilt is the exponential tilt of a pmf, and
-ref_K_constant the tilted-varentropy constant taken tilt by tilt, which
-the library's one kernel pass must match, and
+them to rounding. ref_cake_layer_rhs sums the layer cake's pieces in one
+buffer, whose bits the library's blocked running sum must keep. tilt is
+the exponential tilt of a pmf, and ref_K_constant the tilted-varentropy
+constant taken tilt by tilt, which the library's one kernel pass must
+match, and
 mp_phi_rows evaluates phi and phi'' in 40-digit mpmath. The ref_* functions are the closed forms of the two
 parametric families written as one function per family and quantity;
 LawKind's methods must reproduce them bit for bit. mp_shannon,
@@ -297,6 +299,17 @@ def loop_cake_layer_check(x: LatticePMF, t: float) -> CheckReport:
     tol = 1e-12 * max(1.0, lhs)
     return from_margin("cake_layer", lhs, rhs, tol - err, 0.0,
                        {"t": t, "abs_error": err})
+
+
+def ref_cake_layer_rhs(x, t: float) -> float:
+    """cake_layer_check's right side over the pieces in one buffer: every
+    edge to the power t, the pieces c_k (e_{k+1}**t - e_k**t) and one
+    running sum over all of them, left to right."""
+    edges, c = level_count(as_subject(x)).segments()
+    edges **= t
+    pieces = edges[1:] - edges[:-1]
+    pieces *= c
+    return float(np.cumsum(pieces, out=pieces)[-1])
 
 
 def _ref_lambda(lam: float) -> float:

@@ -613,14 +613,18 @@ def test_verify_decides_each_fact_once(tmp_path, monkeypatch, source, family):
     assert run(config, io.StringIO()) == 0
     expected = {name: 1 for _, name in COUNTED}
     expected[({"match_geometric", "match_symmetric_geometric"} - {family}).pop()] = 0
-    # the subject's level count; the crossing check reads its steps and the
-    # stored comparator values, and sorts nothing
+    # the subject's level count: a law that materialize built reads its
+    # steps off its record and sorts nothing, explicit weights sort once;
+    # the crossing check reads those steps and the stored comparator
+    # values, and sorts nothing
+    expected["level_steps"] = 1 if source == "increasing" else 0
     assert counts == expected
 
 
 def test_verify_logs_the_masses_once_and_sums_each_order_once(monkeypatch):
-    # symmetric geometric 0.99: one level count gives the mass table its
-    # (n + 1) / 2 distinct masses, logged once; h2/h-inf, the layer cake
+    # symmetric geometric 0.99: one level count, read off the law's record
+    # with no sort, gives the mass table its (n + 1) / 2 distinct masses,
+    # logged once; h2/h-inf, the layer cake
     # and the match at p = 2 share one order-2 sum, and the dominance grid
     # adds 0.5, 1.5, 3 and 5 (its orders 1 and inf take no power sum), each
     # over the table with its counts; classification tests its blocks in
@@ -648,7 +652,7 @@ def test_verify_logs_the_masses_once_and_sums_each_order_once(monkeypatch):
     assert run(config, io.StringIO()) == 0
     assert logged == [(n + 1) // 2]
     assert sorted(orders) == [0.5, 1.5, 2.0, 3.0, 5.0]
-    assert counts["level_steps"] == 1
+    assert counts["level_steps"] == 0
 
 
 def _verify_bytes(argv, blas_threads):
@@ -765,6 +769,10 @@ def _argv(draw):
 @example((["verify", "--law", "geometric", "--lambda=0.5", "--alpha=1e+308"], None, False))
 # a t whose square underflows, which once warned
 @example((["phi", "--law", "geometric", "--lambda=0.5", "--t-grid=1e-320"], None, False))
+# a symmetric law's tail threshold tail_tol * (1 + lam) / 2 that underflows
+# to 0, which once raised a math domain error
+@example((["verify", "--law", "symmetric_geometric", "--lambda=1e-06", "--tail-tol=5e-324"],
+          None, False))
 def test_exit_contract_on_drawn_inputs(tmp_path_factory, drawn):
     argv, doc, misused = drawn
     if doc is not None:

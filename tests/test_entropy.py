@@ -373,9 +373,11 @@ def test_tails_select_the_atoms_of_the_mask(x):
             assert abs(empirical_tail(s, t, side) - exact) <= (k + 2) * support.EPS * exact
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 4_095, 4_096, 4_097, 8_210, 37_011, 100_003])
+@pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 4_095, 4_096, 4_097, 8_210, 37_011, 100_003,
+                               entropy._LEAF - 1, entropy._LEAF, entropy._LEAF + 1,
+                               2 * entropy._LEAF + 9])
 def test_pairwise_sum_has_the_bits_of_one_numpy_sum(n):
-    # blocks of at most 4,096 terms, added in numpy's own pairwise order,
+    # blocks of at most _LEAF terms, added in numpy's own pairwise order,
     # keep the bits of np.sum over all the terms at once
     terms = np.random.default_rng(n).random(n)
     total = entropy.pairwise_sum(n, lambda lo, hi, out: np.copyto(out, terms[lo:hi]) or out)

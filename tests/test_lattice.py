@@ -35,10 +35,12 @@ from lclc.lattice import (
     as_subject,
     difference,
     is_log_concave,
+    level_steps,
     materialize,
     monotonicity,
     normalize,
     pmf_from_json,
+    recorded_steps,
     symmetry_center,
 )
 from lclc.majorization import GeometricSequence, crossing_interval, crossing_verify
@@ -276,11 +278,29 @@ class TestMaterialize:
             with pytest.raises(BadLambdaError):
                 ParametricLaw.geometric(lam)
 
+    @pytest.mark.parametrize("lam", [1e-20, 0.5, 0.999, 0.9999])
+    def test_symmetric_weights_are_those_of_one_index_array(self, lam):
+        # k log lam is formed from a float arange in blocks; the products of
+        # one int64 index array have the same bits
+        x = materialize(ParametricLaw.symmetric_geometric(lam))
+        n_max = len(x) // 2
+        right = np.exp(np.arange(n_max + 1) * math.log(lam))
+        w = normalize(np.concatenate((right[:0:-1], right))).weights
+        np.testing.assert_array_equal(x.weights, w)
+
+    def test_symmetric_threshold_below_the_float_range(self):
+        # tail_tol * (1 + lam) / 2 underflows to 0 for lam < 0.5 at the
+        # least subnormal tail_tol: the tail is cut where lam**k is 0
+        x = materialize(ParametricLaw.symmetric_geometric(1e-6), 5e-324)
+        n_max = len(x) // 2
+        assert 1e-6 ** (n_max + 1) == 0.0 < 1e-6 ** n_max
+
     def test_memory_at_690k_atoms(self):
         # symmetric geometric 0.9999: the law is allocated once, its right
-        # half exponentiated in place and mirrored, and normalized in place;
-        # only the half's index array is extra (reads 8.0 MiB; four
-        # full-size arrays read 21.7 MiB)
+        # half's k log lam written in blocks, exponentiated in place and
+        # mirrored, and normalized in place (reads 5.33 MiB for the law's
+        # 5.27; with the half's int64 index array 8.0 MiB, with four
+        # full-size arrays 21.7 MiB)
         law = ParametricLaw.symmetric_geometric(0.9999)
         tracemalloc.start()
         try:
@@ -289,7 +309,7 @@ class TestMaterialize:
         finally:
             tracemalloc.stop()
         assert len(x) == 690_741
-        assert peak < 8.5 * 2**20
+        assert peak < 5.5 * 2**20
 
 
 class TestDifference:
@@ -452,6 +472,41 @@ class TestClosedFormDifference:
         finally:
             tracemalloc.stop()
         assert peak < 11 * 2**20
+
+
+def _assert_same_steps(steps, reference):
+    """Breakpoints, counts and their dtypes bitwise equal."""
+    for a, b in zip(steps, reference):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRecordedSteps:
+    """The level steps of a materialized law, read off its record."""
+
+    @pytest.mark.parametrize("kind", list(LawKind), ids=lambda k: k.value)
+    def test_equal_to_the_sort_over_lambda(self, kind):
+        # lambda 1e-20 keeps one atom; a sweep of 400 lambdas from 0.001 to
+        # 0.9999; 0.99999 keeps 6,907,721 atoms of the symmetric law
+        sweep = 1.0 - np.geomspace(0.999, 1e-4, 400)
+        for lam in [1e-20, 0.5, *sweep, 0.99999]:
+            x = materialize(ParametricLaw(kind, float(lam)))
+            steps = recorded_steps(x)
+            assert steps is not None, lam
+            _assert_same_steps(steps, level_steps(x.weights))
+
+    @pytest.mark.parametrize("kind", list(LawKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("lam", [0.9, 0.999])
+    def test_tied_subnormal_masses_take_the_sort(self, kind, lam):
+        # tail_tol 5e-324 keeps subnormal masses that tie: at geometric
+        # 0.999 the sort reads 731,259 distinct masses in 737,858 atoms
+        x = materialize(ParametricLaw(kind, lam), 5e-324)
+        assert recorded_steps(x) is None
+        _assert_same_steps(Subject(x).levels, level_steps(x.weights))
+
+    def test_explicit_weights_take_the_sort(self):
+        x = _explicit(materialize(ParametricLaw.symmetric_geometric(0.5)))
+        assert recorded_steps(x) is None
 
 
 class TestJsonInput:

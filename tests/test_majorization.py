@@ -49,6 +49,7 @@ from support import (
     random_monotone_log_concave,
     random_pmf,
     random_symmetric_log_concave,
+    ref_cake_layer_rhs,
     ref_crossing_verify,
     ref_hinge_grid,
     ref_level_count,
@@ -90,6 +91,15 @@ class TestLevelCount:
         edges, counts = level_count(normalize([5, 3, 2, 3])).segments()
         np.testing.assert_array_equal(edges, [0.0, 2 / 13, 3 / 13, 5 / 13])
         np.testing.assert_array_equal(counts, [4, 3, 1])
+
+    def test_a_range_of_segments_is_a_slice_of_all(self):
+        f = level_count(normalize([5, 3, 2, 3, 1]))
+        edges, counts = f.segments()
+        for lo in range(counts.size):
+            for hi in range(lo + 1, counts.size + 2):
+                e, c = f.segments(lo, hi)
+                np.testing.assert_array_equal(e, edges[lo:hi + 1])
+                np.testing.assert_array_equal(c, counts[lo:hi])
 
 
 @st.composite
@@ -201,6 +211,35 @@ class TestCakeLayer:
                 assert report.lhs == loop.lhs
                 assert report.rhs == pytest.approx(loop.rhs, rel=1e-15, abs=0.0)
                 assert report.verdict == loop.verdict
+
+    @pytest.mark.parametrize("pieces", [1, majorization._CAKE_BLOCK - 1,
+                                        majorization._CAKE_BLOCK, majorization._CAKE_BLOCK + 1,
+                                        3 * majorization._CAKE_BLOCK + 7])
+    def test_blocks_keep_the_bits_of_one_buffer(self, pieces):
+        # as many pieces as distinct masses: each once, then one to three
+        # atoms at each
+        masses = np.arange(pieces, 0.0, -1.0)
+        for weights in (masses, np.repeat(masses, 1 + np.arange(pieces) % 3)):
+            x = normalize(weights)
+            assert level_count(x).counts.size == pieces + 1
+            for t in (1.0, 2.0, 3.5):
+                assert repr(cake_layer_check(x, t).rhs) == repr(ref_cake_layer_rhs(x, t))
+
+    def test_memory_at_690k_atoms(self):
+        # symmetric geometric 0.9999, its level count and power sum cached:
+        # the pieces are formed in blocks of _CAKE_BLOCK in two buffers of
+        # 62 KiB (reads 0.24 MiB; the edges and pieces of all 345,371
+        # pieces at once read 5.33 MiB)
+        s = Subject(materialize(ParametricLaw.symmetric_geometric(0.9999)))
+        cake_layer_check(s, 2.0)
+        tracemalloc.start()
+        try:
+            report = cake_layer_check(s, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 0.5 * 2**20
 
 
 class TestCrossing:
