@@ -22,6 +22,7 @@ from .inequalities import (
     sup_varentropy_symmetric,
 )
 from .lattice import (
+    DifferenceLaw,
     Direction,
     LatticePMF,
     LawKind,

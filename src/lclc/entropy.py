@@ -16,34 +16,11 @@ import math
 import numpy as np
 
 from .lattice import as_subject, check_order
+# the blocked sums live in pairwise, which lattice reads too; entropy keeps
+# their names for its callers
+from .pairwise import _LEAF, pairwise_sum  # noqa: F401
 
 INF = math.inf
-# terms per block of a sum: 62 KiB, which malloc serves from its heap even
-# when it maps every block of 64 KiB and more on its own
-_LEAF = 7_936
-
-
-def pairwise_sum(n: int, terms) -> float:
-    """The sum of n terms, where terms(lo, hi, out) writes terms lo..hi-1
-    into out and returns it, with the bits of one np.sum over all n.
-
-    The terms are formed in blocks of at most _LEAF in one small buffer,
-    reused, instead of in one n-sized array: numpy's sum of a contiguous
-    array halves it (at a multiple of 8) until a piece has at most 128
-    terms, so splitting as it does down to the blocks and adding their
-    sums reproduces its result exactly."""
-    return _pairwise(terms, np.empty(min(n, _LEAF)), 0, n)
-
-
-def _pairwise(terms, buf: np.ndarray, lo: int, hi: int) -> float:
-    # a module function: a nested one that calls itself is a reference
-    # cycle, which would hold the arrays terms reads until the next garbage
-    # collection
-    m = hi - lo
-    if m > _LEAF:
-        half = m // 2 - m // 2 % 8
-        return _pairwise(terms, buf, lo, lo + half) + _pairwise(terms, buf, lo + half, hi)
-    return float(terms(lo, hi, buf[:m]).sum())
 
 
 def log_power_sum_of_logs(logs: np.ndarray, t: float, counts=None) -> float:

@@ -15,6 +15,7 @@ at most once for as long as the subject lives.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import pairwise
 from .errors import (
     AllZeroError,
     BadDocumentError,
@@ -181,19 +183,31 @@ class LawKind(Enum):
         the symmetric one lam**k (k + 1 + 2 lam**2 (1 - lam**(2(N-k))) /
         (1 - lam**2)) for k <= N and (2N - k + 1) lam**k above. Every term
         is non-negative, and each 1 - lam**m is -expm1(m log lam), so
-        nothing cancels; lam**k is exp(k log lam), as materialize takes it."""
+        nothing cancels; lam**k is exp(k log lam), as materialize takes it.
+        The factors are formed in place, in k and one more array of out's
+        size."""
         log_lam = math.log(lam)
         span = 2.0 * log_lam
         k = np.arange(start, start + out.size, dtype=np.float64)
         np.exp(np.multiply(k, log_lam, out=out), out=out)
         if self is _GEOMETRIC:
-            out *= np.expm1((n_max + 1 - k) * span) / math.expm1(span)
+            gap = np.subtract(n_max + 1, k, out=k)
+            gap *= span
+            np.expm1(gap, out=gap)
+            gap /= math.expm1(span)
+            out *= gap
             return out
         near = min(out.size, max(0, n_max + 1 - start))  # the lags k <= N
         inner = k[:near]
-        out[:near] *= (np.expm1((n_max - inner) * span)
-                       * (2.0 * math.exp(span) / math.expm1(span)) + (inner + 1.0))
-        out[near:] *= 2 * n_max + 1 - k[near:]
+        gap = np.subtract(n_max, inner)
+        gap *= span
+        np.expm1(gap, out=gap)
+        gap *= 2.0 * math.exp(span) / math.expm1(span)
+        inner += 1.0
+        gap += inner
+        out[:near] *= gap
+        far = k[near:]
+        out[near:] *= np.subtract(2 * n_max + 1, far, out=far)
         return out
 
 
@@ -528,7 +542,9 @@ class Subject:
         return self.fact("symmetry", lambda: symmetry_center(self.pmf))
 
     @property
-    def self_difference(self) -> LatticePMF:
+    def self_difference(self) -> DifferenceLaw:
+        """The law of X - Y for iid X, Y ~ x, as difference reads it: its
+        scalars and a reader of its lags, with no array of its atoms."""
         return self.fact("difference", lambda: difference(self.pmf))
 
     @property
@@ -660,51 +676,218 @@ def materialize(law: ParametricLaw, tail_tol: float = DEFAULT_TAIL_TOL) -> Latti
     return _normalized(w, -n_max, law)
 
 
-def difference(x: LatticePMF) -> LatticePMF:
+@dataclass(frozen=True, eq=False)
+class DifferenceLaw:
+    """The law of X - Y for iid X, Y, exactly symmetric about 0, read by its
+    lags k >= 0 instead of stored as its atoms: P(X - Y = k) and
+    P(X - Y = -k) are both the mass at lag k. It holds the scalars the
+    checks read: last, the largest lag of positive mass (the support is
+    -last..last), max_weight and mass_at_zero. lags(lo, hi, out) writes the
+    masses at lags lo..hi-1 into out and returns it, so a pass over the law
+    takes it a block at a time; pmf() builds its 2 last + 1 atoms."""
+
+    last: int
+    max_weight: float
+    mass_at_zero: float
+    lags: Callable[[int, int, np.ndarray], np.ndarray] = field(repr=False)
+    _pmf: LatticePMF | None = field(default=None, repr=False)
+
+    def pmf(self) -> LatticePMF:
+        """The law as a LatticePMF with offset -last, its weights mirrored
+        from the lags."""
+        if self._pmf is not None:
+            return self._pmf
+        last = self.last
+        w = np.empty(2 * last + 1)
+        right = w[last:]
+        for start in range(0, last + 1, _BLOCK):
+            self.lags(start, min(start + _BLOCK, last + 1), right[start:start + _BLOCK])
+        w[:last] = right[:0:-1]
+        return LatticePMF._adopt(-last, w)
+
+
+def difference(x: LatticePMF) -> DifferenceLaw:
     """Law of X - Y for iid X, Y ~ x, exactly symmetric about 0.
 
-    P(X - Y = k) is the autocorrelation of the weights at lag |k|. The lags
-    k >= 0 are computed once and mirrored, so the weights equal their
-    reverse bit for bit. Two paths compute them:
-    - a pmf that materialize built records its law, and its lags come from
-      that family's closed form (LawKind.difference_lags) scaled by the
-      square of the mass at 0, written in blocks of _BLOCK lags into the
-      one buffer of 2n - 1 entries. Every lag keeps its own relative
-      precision, so the law has all 2n - 1 atoms;
-    - any other pmf has no record. Up to _DIRECT_PRODUCTS products its lags
-      come from a direct convolution; above, from one real FFT at a
-      5-smooth length of at least 2n - 1 (so no lag wraps), whose spectrum
-      is squared in place into |F|**2 and transformed back, with rounding
-      noise clipped at 0. Either output buffer is long enough to hold the
-      law.
-    The lags are then mirrored into the buffer in place.
+    P(X - Y = k) is the autocorrelation of the weights at lag |k|, and the
+    lags k >= 0 come from one of two sources (_lag_source): a pmf that
+    materialize built has them from its family's closed form, any other from
+    its n stored lags. The law is normalize() of the 2n - 1 mirrored lags,
+    bit for bit, without storing them:
+    - when the 2n - 1 fit in one leaf of a pairwise sum, they are built in
+      one buffer and normalized, and the pmf is kept;
+    - above, one sweep over the lags (_mirrored_sweep) gives their total
+      in the bits of one np.sum over the mirrored 2n - 1, their largest, the
+      mass at 0 and the last lag of positive mass. The lags are then read
+      from their source, divided by the total when it is not within
+      _SUM_TOL of 1, and a law of a recorded family holds no array at all.
+      A total above the float range, which normalize first divides by the
+      largest lag, cannot reach this path finite: the transform's squared
+      term at frequency 0 is that total and overflows first, and a recorded
+      family's total is within rounding of 1.
     """
-    w = x.weights
-    n = w.size
+    n = len(x)
+    raw = _lag_source(x)
+    if 2 * n - 1 <= pairwise._LEAF:
+        law = np.empty(2 * n - 1)
+        raw(0, n, law[n - 1:])
+        law[:n - 1] = law[n:][::-1]
+        d = _normalized(law, 1 - n)
+        right = d.weights[len(d) // 2:]
+        return DifferenceLaw(right.size - 1, d.max_weight, float(right[0]),
+                             _copied(right), d)
+    total, top, zero, last, tail = _mirrored_sweep(raw, n)
+    if total == 0.0:  # a sum of non-negative numbers is 0 only if all are
+        raise AllZeroError("all weights are zero")
+    lags = raw
+    if abs(total - 1.0) > _SUM_TOL:
+        # a division is monotone, so it keeps the largest lag the largest
+        lags = _divided(raw, total)
+        top, zero, tail = top / total, zero / total, tail / total
+    if tail == 0.0:  # the division took the last positive lag below the float range
+        last = _last_positive(lags, last)
+    return DifferenceLaw(last, top, zero, lags)
+
+
+def _lag_source(x: LatticePMF) -> Callable[[int, int, np.ndarray], np.ndarray]:
+    """raw(lo, hi, out): out filled with the autocorrelation of x's weights
+    at lags lo..hi-1. A pmf that materialize built records its law, and its
+    lags come from that family's closed form (LawKind.difference_lags) scaled
+    by the square of the mass at 0: every lag keeps its own relative
+    precision, so no tail is lost. Any other pmf has its n lags computed once
+    and stored (_autocorrelation)."""
     if x.law is not None:
         kind, lam = x.law.kind, x.law.lam
+        n = len(x)
         n_max = n - 1 if kind is _GEOMETRIC else n // 2  # the atoms kept
         scale = x.pmf(0) ** 2  # both families have their mode at 0
-        law = np.empty(2 * n - 1)
-        for start in range(0, n, _BLOCK):
-            lags = law[n - 1 + start:n - 1 + start + _BLOCK]
-            kind.difference_lags(lam, n_max, start, lags)
-            lags *= scale
-    elif n * n <= _DIRECT_PRODUCTS:
-        law = np.convolve(w, w[::-1])  # lag k at n - 1 + k
-    else:
-        m = _smooth_length(2 * n - 1)
-        spectrum = np.fft.rfft(w, m)
-        power = spectrum.view(np.float64)  # re, im interleaved
-        np.square(power, out=power)
-        power[0::2] += power[1::2]
-        power[1::2] = 0.0
-        law = np.fft.irfft(spectrum, m)  # lag k at k
-        del spectrum, power
-        np.maximum(law[:n], 0.0, out=law[:n])
-        law[n - 1:2 * n - 1] = law[:n]  # overlapping; numpy copies back to front
-    law[:n - 1] = law[n:2 * n - 1][::-1]
-    return _normalized(law[:2 * n - 1], 1 - n)
+
+        def closed_form(lo, hi, out):
+            kind.difference_lags(lam, n_max, lo, out)
+            out *= scale
+            return out
+
+        return closed_form
+    return _copied(_autocorrelation(x.weights))
+
+
+def _autocorrelation(w: np.ndarray) -> np.ndarray:
+    """The lags k = 0..n-1 of sum_i w_i w_{i+k}, copied out of the buffer
+    that computes them. Up to _DIRECT_PRODUCTS products they come from a
+    direct convolution; above, from one real FFT at a 5-smooth length of at
+    least 2n - 1 (so no lag wraps), whose spectrum is squared in place into
+    |F|**2 and transformed back, with rounding noise clipped at 0."""
+    n = w.size
+    if n * n <= _DIRECT_PRODUCTS:
+        return np.convolve(w, w[::-1])[n - 1:].copy()  # lag k at n - 1 + k
+    m = _smooth_length(2 * n - 1)
+    spectrum = np.fft.rfft(w, m)
+    power = spectrum.view(np.float64)  # re, im interleaved
+    np.square(power, out=power)
+    power[0::2] += power[1::2]
+    power[1::2] = 0.0
+    law = np.fft.irfft(spectrum, m)  # lag k at k
+    del spectrum, power
+    lags = law[:n].copy()
+    del law
+    return np.maximum(lags, 0.0, out=lags)
+
+
+def _copied(lags: np.ndarray) -> Callable[[int, int, np.ndarray], np.ndarray]:
+    """raw(lo, hi, out) reading stored lags."""
+
+    def stored(lo, hi, out):
+        np.copyto(out, lags[lo:hi])
+        return out
+
+    return stored
+
+
+def _divided(raw, total: float) -> Callable[[int, int, np.ndarray], np.ndarray]:
+    """raw's lags divided by total in place, as normalize divides its
+    weights."""
+
+    def divided(lo, hi, out):
+        raw(lo, hi, out)
+        out /= total
+        return out
+
+    return divided
+
+
+def _mirrored_sweep(raw, n: int) -> tuple[float, float, float, int, float]:
+    """One ascending sweep over the lags 0..n-1 that raw writes, each read
+    once, in blocks of pairwise._LEAF: the sum of the masses of the 2n - 1
+    positions, lag k at n - 1 - k and n - 1 + k, with the bits of one np.sum
+    over them; the largest mass; the mass at lag 0; the last lag of positive
+    mass and that mass.
+
+    Each leaf of the pairwise tree over the positions is a run of lags,
+    reversed left of lag 0 (both ways in the leaf that holds it). A block of
+    lags is copied into the leaves it falls in, each leaf's buffer taken when
+    the sweep first reaches it and its np.sum taken when it is full; since
+    the runs partition the lags on each side, at most two leaves are open at
+    a time. The leaf sums are then added in the tree's order."""
+    center, size = n - 1, 2 * n - 1
+    bounds = pairwise.leaves(size)
+    starts = [lo for lo, _ in bounds]
+    width = max(hi - lo for lo, hi in bounds)
+    sums: dict[int, float] = {}
+    open_leaves: dict[int, list] = {}  # a leaf's start -> [buffer, entries written]
+    spare: list[np.ndarray] = []
+
+    def put(p: int, values: np.ndarray) -> None:
+        """values written at positions p, p + 1, ..."""
+        i = bisect.bisect_right(starts, p) - 1
+        done = 0
+        while done < values.size:
+            lo, hi = bounds[i]
+            k = min(hi - p - done, values.size - done)
+            leaf = open_leaves.get(lo)
+            if leaf is None:
+                leaf = open_leaves[lo] = [spare.pop() if spare else np.empty(width), 0]
+            buf = leaf[0]
+            buf[p + done - lo:p + done - lo + k] = values[done:done + k]
+            leaf[1] += k
+            if leaf[1] == hi - lo:
+                sums[lo] = float(buf[:hi - lo].sum())
+                spare.append(open_leaves.pop(lo)[0])
+            done += k
+            i += 1
+
+    block = np.empty(min(n, pairwise._LEAF))
+    top = zero = tail = 0.0
+    last = -1
+    with np.errstate(over="ignore"):
+        for a in range(0, n, block.size):
+            v = raw(a, min(n, a + block.size), block[:min(block.size, n - a)])
+            top = max(top, float(v.max()))
+            if v[-1] > 0.0:
+                last, tail = a + v.size - 1, float(v[-1])
+            else:
+                positive = np.flatnonzero(v)
+                if positive.size:
+                    last, tail = a + int(positive[-1]), float(v[positive[-1]])
+            b = a + v.size
+            put(center + a, v)
+            if a == 0:
+                zero = float(v[0])
+                v = v[1:]  # lag 0 sits at the center once
+            put(center - b + 1, v[::-1])
+    return pairwise.tree_sum(size, lambda lo, hi: sums[lo]), top, zero, last, tail
+
+
+def _last_positive(lags, hi: int) -> int:
+    """The largest lag at most hi of positive mass, searched down from hi in
+    blocks of _BLOCK; the largest mass is at least the total over 2n - 1,
+    so it stays positive and the search ends."""
+    buf = np.empty(min(_BLOCK, hi + 1))
+    while True:
+        lo = max(0, hi + 1 - buf.size)
+        positive = np.flatnonzero(lags(lo, hi + 1, buf[:hi + 1 - lo]))
+        if positive.size:
+            return lo + int(positive[-1])
+        hi = lo - 1
 
 
 def _smooth_length(m: int) -> int:

@@ -13,7 +13,12 @@ union of its thresholds, with the settle loop at every one of them; the
 library's blocked reading of each side's own breakpoints must reproduce
 its report field for field. direct_difference is the law of X - Y by direct convolution over
 every lag, which the library's mirrored FFT autocorrelation must match to
-rounding. The loop_* functions evaluate hinge expectations, means, the
+rounding. ref_difference stores that law as its 2n - 1 atoms, its
+closed-form lags from ref_difference_lags, and normalizes them; the
+library's one-sweep reader of the lags must give its scalars, its pmf()
+and the h2_hinf_identity and epi_reversal reports of
+ref_h2_hinf_identity_check and ref_epi_reversal_check bit for bit. The
+loop_* functions evaluate hinge expectations, means, the
 convex-order certificate and the layer-cake sum one segment and one hinge
 at a time; the library's suffix-sum tables and array sums must agree with
 them to rounding. ref_cake_layer_rhs sums the layer cake's pieces in one
@@ -41,10 +46,11 @@ import math
 
 import numpy as np
 
-from lclc.entropy import power_sum, varentropy
+from lclc import lattice
+from lclc.entropy import log_power_sum_of_logs, power_sum, renyi, varentropy
 from lclc.inequalities import DEFAULT_ALPHA_GRID
 from lclc.errors import BadLambdaError, BadOrdersError, MeanMismatchError
-from lclc.lattice import LatticePMF, as_subject, level_steps, normalize, symmetry_center
+from lclc.lattice import LatticePMF, LawKind, as_subject, level_steps, normalize, symmetry_center
 from lclc.lyapunov import DEFAULT_N_POINTS, DEFAULT_T_MAX, DEFAULT_T_MIN, phi_second_derivative
 from lclc.majorization import (
     HINGE_TOL,
@@ -113,6 +119,134 @@ def direct_difference(x: LatticePMF) -> np.ndarray:
     """P(X - Y = k) for iid X, Y ~ x at k = -(n-1), ..., n-1, each lag summed
     directly, with no transform and no mirroring."""
     return np.convolve(x.weights, x.weights[::-1])
+
+
+def ref_difference_lags(kind, lam: float, n_max: int, start: int,
+                        out: np.ndarray) -> np.ndarray:
+    """LawKind.difference_lags with each factor formed as one expression of
+    fresh arrays; the library forms them in place, with the same bits."""
+    log_lam = math.log(lam)
+    span = 2.0 * log_lam
+    k = np.arange(start, start + out.size, dtype=np.float64)
+    np.exp(np.multiply(k, log_lam, out=out), out=out)
+    if kind is LawKind.GEOMETRIC:
+        out *= np.expm1((n_max + 1 - k) * span) / math.expm1(span)
+        return out
+    near = min(out.size, max(0, n_max + 1 - start))
+    inner = k[:near]
+    out[:near] *= (np.expm1((n_max - inner) * span)
+                   * (2.0 * math.exp(span) / math.expm1(span)) + (inner + 1.0))
+    out[near:] *= 2 * n_max + 1 - k[near:]
+    return out
+
+
+def ref_difference(x: LatticePMF) -> LatticePMF:
+    """The law of X - Y stored as its 2n - 1 atoms: its lags from the
+    family's closed form in blocks of 8,192, from a direct convolution or
+    from one real FFT, mirrored into one buffer and normalized. The
+    library's reader must give this law's scalars, and its pmf(), bit for
+    bit."""
+    w = x.weights
+    n = w.size
+    if x.law is not None:
+        kind, lam = x.law.kind, x.law.lam
+        n_max = n - 1 if kind is LawKind.GEOMETRIC else n // 2
+        scale = x.pmf(0) ** 2
+        law = np.empty(2 * n - 1)
+        for start in range(0, n, lattice._BLOCK):
+            lags = law[n - 1 + start:n - 1 + start + lattice._BLOCK]
+            ref_difference_lags(kind, lam, n_max, start, lags)
+            lags *= scale
+    elif n * n <= lattice._DIRECT_PRODUCTS:
+        law = np.convolve(w, w[::-1])
+    else:
+        m = lattice._smooth_length(2 * n - 1)
+        spectrum = np.fft.rfft(w, m)
+        power = spectrum.view(np.float64)
+        np.square(power, out=power)
+        power[0::2] += power[1::2]
+        power[1::2] = 0.0
+        law = np.fft.irfft(spectrum, m)
+        del spectrum, power
+        np.maximum(law[:n], 0.0, out=law[:n])
+        law[n - 1:2 * n - 1] = law[:n]
+    law[:n - 1] = law[n:2 * n - 1][::-1]
+    return lattice._normalized(law[:2 * n - 1], 1 - n)
+
+
+def ref_difference_renyi(d: LatticePMF, alpha: float) -> float:
+    """H_alpha of a stored law of X - Y from the logs of its lags k >= 0 in
+    one array, each weighted by the atoms at its lag."""
+    log_sum = -math.inf
+    if not math.isinf(alpha):
+        half = d.weights[len(d) // 2:]
+        counts = np.full(half.size, 2.0)
+        counts[0] = 1.0
+        with np.errstate(divide="ignore"):
+            log_sum = log_power_sum_of_logs(np.log(half), alpha, counts)
+    if log_sum == -math.inf:
+        return -math.log(d.max_weight)
+    return log_sum / (1.0 - alpha)
+
+
+def ref_h2_hinf_identity_check(x) -> CheckReport:
+    """h2_hinf_identity_check read off ref_difference."""
+    s = as_subject(x)
+    d = ref_difference(s.pmf)
+    lhs = renyi(s, 2.0)
+    rhs = renyi(d, math.inf)
+    err = abs(lhs - rhs)
+    tol = 1e-12 * max(1.0, abs(lhs))
+    return from_margin("h2_hinf_identity", lhs, rhs, tol - err, 0.0,
+                       {"abs_error": err, "mode_slack": d.pmf(0) - d.max_weight})
+
+
+def ref_epi_reversal_check(x, alpha: float) -> CheckReport:
+    """epi_reversal_check read off ref_difference."""
+    s = as_subject(x)
+    lhs = ref_difference_renyi(ref_difference(s.pmf), alpha)
+    rhs = renyi(s, alpha) + math.log(2.0)
+    return from_margin("epi_reversal", lhs, rhs, rhs - lhs, 1e-10,
+                       {"alpha": alpha, "log_concave": s.log_concave})
+
+
+# the laws on which difference's reader must reproduce ref_difference:
+# both families over the lambda sweep, at the default tail_tol, at the
+# least subnormal and at 1e-300 (where the masses reach the subnormal range
+# and the end lags round to 0 and are trimmed), and at 1e-12 (where the
+# total of X - Y misses 1 by more than normalize's tolerance and the law is
+# rescaled); lambda 0.9999 at two of them
+DIFFERENCE_LAWS = [(kind, lam, tol) for kind in LawKind
+                   for lam in (1e-20, 0.1, 0.5, 0.9, 0.99, 0.999)
+                   for tol in (1e-15, 5e-324, 1e-300, 1e-12)]
+DIFFERENCE_LAWS += [(kind, 0.9999, tol) for kind in LawKind for tol in (1e-15, 1e-12)]
+# explicit supports: one atom, the direct path (up to 2,000 atoms), the
+# transform on either side of one pairwise leaf (2n - 1 = _LEAF - 1 and
+# _LEAF + 1 at 3,968 and 3,969 atoms; 2n - 1 is odd, _LEAF even), two leaves, and laws whose first split falls at
+# lag 0 (n - 1 a multiple of 8)
+DIFFERENCE_SIZES = (1, 2, 100, 2_000, 2_001, 3_968, 3_969, 7_936, 7_937, 8_001, 40_001)
+
+
+def difference_law_id(case) -> str:
+    kind, lam, tol = case
+    return f"{kind.value}-{lam!r}-{tol!r}"
+
+
+def explicit_decreasing(n: int) -> LatticePMF:
+    """A decreasing log-concave pmf of n atoms, log-weights -3 i/n - (i/n)**2,
+    with no record of a law."""
+    i = np.arange(n, dtype=np.float64)
+    return normalize(np.exp(-3.0 * i / n - (i / n) ** 2))
+
+
+def lag_tail_underflow() -> LatticePMF:
+    """Raw weights whose largest lags are subnormal and whose X - Y totals
+    about 2.5e13: normalize's division takes those lags to 0, so the law is
+    trimmed after it is rescaled."""
+    w = np.full(5_000, 1_000.0)
+    w[0] = w[-1] = 1e-160
+    w[1] = w[-2] = 1e-158
+    return LatticePMF(0, w)
 
 
 def scalar_geometric_level_count(z, t: float) -> int:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,12 +31,19 @@ from lclc.inequalities import (
 from lclc.inequalities import _difference_renyi
 from lclc.lattice import LawKind, ParametricLaw, Subject, materialize, normalize
 from support import (
+    DIFFERENCE_LAWS,
+    DIFFERENCE_SIZES,
+    difference_law_id,
+    explicit_decreasing,
+    lag_tail_underflow,
     mp_log_power_sum,
     random_half_integer_symmetric,
     random_log_concave,
     random_monotone_log_concave,
     random_pmf,
     random_symmetric_log_concave,
+    ref_epi_reversal_check,
+    ref_h2_hinf_identity_check,
     ref_K_constant,
 )
 
@@ -353,7 +361,7 @@ class TestEpiReversal:
         pmfs += [materialize(ParametricLaw.geometric(0.99)), normalize(np.ones(2_500))]
         for x in pmfs:
             s = Subject(x)
-            diff = s.self_difference
+            diff = s.self_difference.pmf()
             for alpha in (2.0, 3.5, 40.0):
                 exact, bound = mp_log_power_sum(diff, alpha)
                 value = _difference_renyi(s, alpha) * (1.0 - alpha)
@@ -382,6 +390,69 @@ class TestOrderTwoIdentity:
             report = h2_hinf_identity_check(random_pmf(rng))
             assert report.params["abs_error"] <= 1e-12
             assert report.params["mode_slack"] >= -1e-15
+
+
+ALPHAS = (2.0, 3.5, 1e6, 1e308, INF)
+
+
+def _assert_reports_as_stored(x) -> None:
+    """Every field of the h2_hinf_identity report, and of the epi_reversal
+    report at each order of ALPHAS on a monotone x, as read off the law of
+    X - Y stored as its atoms (ref_difference)."""
+    s = Subject(x)
+    assert repr(h2_hinf_identity_check(s)) == repr(ref_h2_hinf_identity_check(s))
+    if s.monotone:
+        for alpha in ALPHAS:
+            assert repr(epi_reversal_check(s, alpha)) == repr(ref_epi_reversal_check(s, alpha))
+
+
+def _traced_peak(call) -> float:
+    """The peak memory that call() adds, under tracemalloc, in bytes."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+class TestDifferenceReports:
+    """The two rows on the law of X - Y read its lags with no array of its
+    atoms, and keep every bit of the rows read off the stored law."""
+
+    @pytest.mark.parametrize("case", DIFFERENCE_LAWS, ids=difference_law_id)
+    def test_law_reports_as_stored(self, case):
+        kind, lam, tol = case
+        _assert_reports_as_stored(materialize(ParametricLaw(kind, lam), tol))
+
+    @pytest.mark.parametrize("n", DIFFERENCE_SIZES)
+    def test_explicit_reports_as_stored(self, n):
+        x = explicit_decreasing(n)
+        _assert_reports_as_stored(x)
+        _assert_reports_as_stored(normalize(x.weights[::-1], -3))
+
+    def test_rescaled_trimmed_law_reports_as_stored(self):
+        _assert_reports_as_stored(lag_tail_underflow())
+
+    def test_h2_memory_at_690k_atoms(self):
+        # symmetric geometric 0.9999, its mass table and order-2 sum cached:
+        # the law of X - Y is read in one sweep of blocks and only its
+        # scalars kept (reads 0.37 MiB; stored, 10.54 MiB and 10.79 peak)
+        s = Subject(materialize(ParametricLaw.symmetric_geometric(0.9999)))
+        renyi(s, 2.0)
+        assert _traced_peak(lambda: h2_hinf_identity_check(s)) < 2**19
+
+    def test_epi_memory_at_345k_atoms(self):
+        # geometric 0.9999, its mass table, classification and order-2 sum
+        # cached: the law's sweep and one pairwise pass over its lags, each
+        # logged in the sum's buffer (reads 0.30 MiB; the stored law with
+        # its logs and counts read 10.6 MiB)
+        s = Subject(materialize(ParametricLaw.geometric(0.9999)))
+        renyi(s, 2.0)
+        assert s.direction is not None and s.log_concave
+        assert _traced_peak(lambda: epi_reversal_check(s)) < 2**19
 
 
 class TestCConstant:

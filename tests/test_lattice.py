@@ -43,8 +43,20 @@ from lclc.lattice import (
     recorded_steps,
     symmetry_center,
 )
+from lclc import lattice
 from lclc.majorization import GeometricSequence, crossing_interval, crossing_verify
-from support import direct_difference, random_pmf, ref_is_log_concave, ref_symmetry_center
+from support import (
+    DIFFERENCE_LAWS,
+    DIFFERENCE_SIZES,
+    difference_law_id,
+    direct_difference,
+    explicit_decreasing,
+    lag_tail_underflow,
+    random_pmf,
+    ref_difference,
+    ref_is_log_concave,
+    ref_symmetry_center,
+)
 
 
 @st.composite
@@ -166,9 +178,9 @@ class TestNormalize:
         geometric = materialize(ParametricLaw.geometric(0.999))
         for x in (materialize(ParametricLaw.geometric(0.5)),
                   materialize(ParametricLaw.symmetric_geometric(0.5)),
-                  difference(normalize([1.0, 2.0, 3.0])),  # the direct path
-                  difference(_explicit(geometric)),  # the FFT
-                  difference(geometric)):  # the closed form
+                  difference(normalize([1.0, 2.0, 3.0])).pmf(),  # the direct path
+                  difference(_explicit(geometric)).pmf(),  # the FFT
+                  difference(geometric).pmf()):  # the closed form
             assert not x.weights.flags.writeable
             with pytest.raises(ValueError):
                 x.weights[0] = 0.3
@@ -315,14 +327,14 @@ class TestMaterialize:
 class TestDifference:
     def test_uniform_pair(self):
         u = normalize([0.5, 0.5], 0)
-        d = difference(u)
+        d = difference(u).pmf()
         assert d.offset == -1
         np.testing.assert_allclose(d.weights, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_iid_geometric_gives_symmetric_geometric(self):
         for lam in (0.3, 0.7):
             x = materialize(ParametricLaw.geometric(lam))
-            d = difference(x)
+            d = difference(x).pmf()
             z = materialize(ParametricLaw.symmetric_geometric(lam))
             lo = max(d.offset, z.offset)
             hi = min(d.offset + len(d), z.offset + len(z))
@@ -331,25 +343,25 @@ class TestDifference:
             np.testing.assert_allclose(dv, zv, atol=1e-12)
 
     def test_dirac_difference(self):
-        d = difference(normalize([1.0], 5))
+        d = difference(normalize([1.0], 5)).pmf()
         assert d.offset == 0 and len(d) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(pmfs())
     def test_mass_conserved(self, x):
-        assert abs(difference(x).weights.sum() - 1.0) < 1e-12
+        assert abs(difference(x).pmf().weights.sum() - 1.0) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(pmfs())
     def test_self_difference_symmetric_with_mode_at_zero(self, x):
-        d = difference(x)
+        d = difference(x).pmf()
         assert symmetry_center(d) == 0.0
         assert d.pmf(0) >= d.max_weight - 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(pmfs())
     def test_bitwise_symmetric(self, x):
-        d = difference(x)
+        d = difference(x).pmf()
         np.testing.assert_array_equal(d.weights, d.weights[::-1])
         assert symmetry_center(d) == 0.0
 
@@ -357,7 +369,7 @@ class TestDifference:
         # the weights of symmetric geometric 0.9999 as an explicit pmf: the
         # transform path, far above the crossover, where noise clipped at 0
         # must trim both ends alike
-        d = difference(_explicit(materialize(ParametricLaw.symmetric_geometric(0.9999))))
+        d = difference(_explicit(materialize(ParametricLaw.symmetric_geometric(0.9999)))).pmf()
         assert len(d) == 2 * 690_741 - 1
         np.testing.assert_array_equal(d.weights, d.weights[::-1])
         assert symmetry_center(d) == 0.0
@@ -366,7 +378,7 @@ class TestDifference:
         rng = np.random.default_rng(7)
         for n in (2000, 2001):  # either side of the crossover
             x = normalize(rng.random(n))
-            d = difference(x)
+            d = difference(x).pmf()
             assert d.offset == 1 - n
             np.testing.assert_allclose(d.weights, direct_difference(x), rtol=0,
                                        atol=1e-14 * d.max_weight)
@@ -377,7 +389,7 @@ class TestDifference:
         # P(D = k) is proportional to lam**|k| * (1 - lam**(2(N - |k| + 1)));
         # the max absolute error reads 1.1e-17 at 0.99 and 1.1e-18 at 0.999
         x = _explicit(materialize(ParametricLaw.geometric(lam)))
-        d = difference(x)
+        d = difference(x).pmf()
         k = np.abs(np.arange(d.offset, d.offset + len(d)))
         exact = lam**k * -np.expm1(2 * (len(x) - k) * math.log(lam))
         exact /= exact.sum()
@@ -398,17 +410,19 @@ class TestDifference:
 
     def test_memory_at_690k_atoms(self):
         # the weights of symmetric geometric 0.9999 as an explicit pmf: one
-        # spectrum and one inverse transform, whose buffer then holds the
-        # mirrored law, normalized in place; two 10.5 MiB buffers at a time
-        # (reads 21.2 MiB; with a separate law and its trimmed copy, 22.5 MiB)
+        # spectrum and one inverse transform, two 10.5 MiB buffers at a time
+        # (reads 21.2 MiB; with a separate law and its trimmed copy, 22.5
+        # MiB), of which the n lags k >= 0 are copied out and kept (5.27
+        # MiB; the mirrored law held 10.54)
         x = _explicit(materialize(ParametricLaw.symmetric_geometric(0.9999)))
         tracemalloc.start()
         try:
-            difference(x)
-            _, peak = tracemalloc.get_traced_memory()
+            d = difference(x)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 22 * 2**20
+        assert held < 5.5 * 2**20 and d.last == 690_740
 
 
 CLOSED_FORM_LAWS = [ParametricLaw(kind, lam) for kind in LawKind
@@ -428,7 +442,7 @@ class TestClosedFormDifference:
         assert x.law is law
         assert pmf_from_json({"law": "geometric", "lambda": 0.5}).law == law
         w = x.weights
-        for y in (normalize(w), LatticePMF(0, w), difference(x),
+        for y in (normalize(w), LatticePMF(0, w), difference(x).pmf(),
                   pmf_from_json({"weights": w.tolist()})):
             assert y.law is None
         with pytest.raises(TypeError):
@@ -440,7 +454,7 @@ class TestClosedFormDifference:
         # worst relative error reads 4.3e-15 (geometric) and 1.6e-14
         # (symmetric geometric), at 0.999; lambda 1e-20 keeps one atom
         x = materialize(law)
-        d = difference(x)
+        d = difference(x).pmf()
         exact = direct_difference(x)
         assert d.offset == 1 - len(x) and len(d) == exact.size
         assert np.max(np.abs(d.weights - exact) / exact) <= 1e-13
@@ -454,16 +468,17 @@ class TestClosedFormDifference:
         # 13,749 lags of symmetric geometric 0.99 and 690,739 of the
         # 690,741 of geometric 0.9999
         x = materialize(law)
-        d = difference(x)
+        d = difference(x).pmf()
         assert len(d) == 2 * len(x) - 1
         np.testing.assert_array_equal(d.weights, d.weights[::-1])
         assert is_log_concave(d)
         assert d.pmf(0) == d.max_weight
 
     def test_memory_at_690k_atoms(self):
-        # symmetric geometric 0.9999: the lags are written in blocks of
-        # _BLOCK into the one buffer of 2n - 1 entries (10.54 MiB) and
-        # mirrored in place (reads 10.79 MiB; the transform reads 21.2 MiB)
+        # symmetric geometric 0.9999: one sweep over the lags in blocks of
+        # _LEAF, each copied into the pairwise leaves it falls in, and no
+        # array of the law (reads 0.37 MiB; the lags written into one
+        # buffer of 2n - 1 entries read 10.79 MiB, the transform 21.2 MiB)
         x = materialize(ParametricLaw.symmetric_geometric(0.9999))
         tracemalloc.start()
         try:
@@ -471,7 +486,75 @@ class TestClosedFormDifference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 11 * 2**20
+        assert peak < 2**19
+
+
+def _assert_reads_as_stored(x: LatticePMF) -> None:
+    """difference(x) gives ref_difference(x)'s scalars, lags and pmf bit for
+    bit; the lags are read in blocks of 1,000, across the leaves' edges."""
+    d, ref = difference(x), ref_difference(x)
+    pmf = d.pmf()
+    assert pmf.offset == ref.offset == -d.last
+    assert pmf.weights.tobytes() == ref.weights.tobytes()
+    assert repr(d.max_weight) == repr(ref.max_weight)
+    assert repr(d.mass_at_zero) == repr(ref.pmf(0))
+    right = np.empty(d.last + 1)
+    for lo in range(0, right.size, 1_000):
+        d.lags(lo, min(lo + 1_000, right.size), right[lo:lo + 1_000])
+    assert right.tobytes() == ref.weights[d.last:].tobytes()
+
+
+class TestDifferenceReader:
+    """difference reads the law of X - Y by its lags, with the bits of the
+    law stored as its 2n - 1 atoms and normalized."""
+
+    @pytest.mark.parametrize("case", DIFFERENCE_LAWS, ids=difference_law_id)
+    def test_law_reads_as_stored(self, case):
+        kind, lam, tol = case
+        _assert_reads_as_stored(materialize(ParametricLaw(kind, lam), tol))
+
+    @pytest.mark.parametrize("n", DIFFERENCE_SIZES)
+    def test_explicit_reads_as_stored(self, n):
+        x = explicit_decreasing(n)
+        _assert_reads_as_stored(x)
+        _assert_reads_as_stored(LatticePMF(5, x.weights[::-1]))
+
+    def test_rescaled_trimmed_law_reads_as_stored(self):
+        x = lag_tail_underflow()
+        assert direct_difference(x)[-1] > 0.0  # positive before the division
+        _assert_reads_as_stored(x)
+        assert difference(x).last < len(x) - 1
+
+    def test_cases_rescale_and_trim(self):
+        # geometric 0.5 at tail_tol 1e-12 keeps weights that total within
+        # 1e-12 of 1, so X - Y misses 1 by about twice that, and is
+        # rescaled; at the least subnormal tail_tol the end lags round to 0
+        x = materialize(ParametricLaw.geometric(0.5), 1e-12)
+        assert abs(direct_difference(x).sum() - 1.0) > 1e-12
+        y = materialize(ParametricLaw.geometric(0.5), 5e-324)
+        assert difference(y).last < len(y) - 1
+
+    @pytest.mark.parametrize("n", [3_969, 3_970, 7_936, 7_937, 8_001, 40_001, 100_003])
+    def test_sweep_has_the_bits_of_one_numpy_sum(self, n):
+        # the sweep's total, largest mass, mass at 0 and last positive lag
+        # over the mirrored 2n - 1 positions, against one pass over them
+        # stored, on drawn lags with zeros at the end; a leaf's terms added
+        # in another order change the total's last bit in about one draw in
+        # four, so twenty draws find such a defect at every size
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            lags = rng.random(n)
+            lags[-(n // 7):] = 0.0
+            lags[n // 3] = 0.0
+            mirrored = np.concatenate((lags[:0:-1], lags))
+            total, top, zero, last, tail = lattice._mirrored_sweep(lattice._copied(lags), n)
+            assert repr(total) == repr(float(mirrored.sum()))
+            assert (top, zero) == (mirrored.max(), lags[0])
+            assert last == int(np.flatnonzero(lags)[-1]) and tail == lags[last]
+
+    def test_all_zero_lags_are_refused(self):
+        with pytest.raises(AllZeroError):
+            difference(LatticePMF(0, np.full(4_000, 1e-200)))
 
 
 def _assert_same_steps(steps, reference):
